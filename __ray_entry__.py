@@ -78,7 +78,7 @@ def _collect(ds) -> pa.Table:
 def entry() -> Any:
     """Flagship KG construction: sf0.001 ``documents`` re-shaped into the
     ``input_hint`` transcript schema (conv_id=source, turn order by
-    doc_id) → actor-pool mention linking against the broadcast lexicon →
+    doc_id) → task-parallel mention linking against the broadcast lexicon →
     lineage-tagged triples → exact dedup (A1)."""
     import ray
     import ray.data
@@ -105,8 +105,7 @@ def entry() -> Any:
 
     transcripts = docs.map_batches(to_transcript, batch_format="pyarrow")
     lex_ref = build_lexicon(FX_T1)
-    triples = link_transcripts(transcripts, lex_ref, fuzzy=False,
-                               concurrency=(1, 4))
+    triples = link_transcripts(transcripts, lex_ref, fuzzy=False)
     return dedup_triples(triples)
 
 

@@ -23,7 +23,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 FIXTURE_SCALE = os.environ.get("GRAFT_FIXTURE_SCALE", "bench")
 
 

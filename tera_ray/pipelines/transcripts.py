@@ -11,8 +11,8 @@ detection against the same lexicons.
 Stage layout (all streaming, no driver materialization):
 
 - mention linking is a PURE ``map_batches`` over raw turn rows — no
-  shuffle; the lexicon is broadcast once via ``ray.put`` and pinned per
-  actor (``LinkerStage.__init__``).
+  shuffle; plain tasks on warm workers, each worker deserializing the
+  ``ray.put`` lexicon once per build (:func:`_resolve_lexicon`).
 - turn-order facts (``precededBy``) are computed per-row from the dense
   ``turn_idx`` — order-faithful without a shuffle.
 - conversation reconstruction (SURVEY K4) groups by ``conv_id`` and
@@ -50,12 +50,28 @@ def turn_uri(ns: str, conv_id: str, turn_idx: int) -> str:
     return f"{ns}turn/{conv_id}/{turn_idx}"
 
 
-class LinkerStage:
-    """Actor-pool mention linker (SURVEY T2/J4; north-rule actor stage).
+_LEXICON_CACHE: tuple[bytes, Lexicon] | None = None   # (ref id, lexicon)
 
-    ``__init__`` runs once per actor: fetches the broadcast lexicon from
-    the local object store and pins it.  ``__call__`` runs per Arrow
-    batch and emits lineage-tagged triples:
+
+def _resolve_lexicon(lexicon) -> Lexicon:
+    """A Lexicon as is; a broadcast ref through a one-entry per-process
+    cache keyed by its id, so a worker deserializes a build's lexicon
+    once and holds at most one (ids are never reused in a session)."""
+    global _LEXICON_CACHE
+    if isinstance(lexicon, ray.ObjectRef):
+        key = lexicon.binary()
+        if _LEXICON_CACHE is None or _LEXICON_CACHE[0] != key:
+            _LEXICON_CACHE = None       # free the old one before the fetch
+            _LEXICON_CACHE = (key, ray.get(lexicon))
+        lexicon = _LEXICON_CACHE[1]
+    return lexicon
+
+
+class LinkerStage:
+    """Stateless mention linker (SURVEY T2/J4), run as plain tasks by
+    :func:`link_transcripts`.  It holds the lexicon or its broadcast
+    ref, resolved per process on first use (:func:`_resolve_lexicon`).
+    ``__call__`` runs per Arrow batch and emits lineage-tagged triples:
 
     - ``turn rdf:type Turn``; ``conv hasTurn turn``;
       ``turn precededBy prev-turn`` (for ``turn_idx > 0``)
@@ -70,26 +86,26 @@ class LinkerStage:
     def __init__(self, lexicon, ns: str = ECOTOX_NS, graph: str = TRANSCRIPT_GRAPH,
                  fuzzy: bool = True, combine_keys: tuple | None = None,
                  combine_hash: bool = True, rowwise: bool = False):
-        if isinstance(lexicon, ray.ObjectRef):
-            lexicon = ray.get(lexicon)
-        assert isinstance(lexicon, Lexicon)
-        self.lex = lexicon
+        assert isinstance(lexicon, (Lexicon, ray.ObjectRef))
+        self._lexicon = lexicon
         self.ns = ns
         self.graph = graph
         self.fuzzy = fuzzy
         # with combine_keys set, the A1 combiner (per-batch dedup, plus
         # the u64 row hash ``__h`` when combine_hash) runs INSIDE the
-        # actor — one operator instead of actor-pool + a competing task
-        # stage, so the pool can own nearly every CPU during the
-        # build's dominant phase (hash mode feeds
-        # dedup_triples_hash(precombined=True); scoped mode needs only
-        # the local dedup)
+        # linker call — one operator instead of a second task stage
+        # (hash mode feeds dedup_triples_hash(precombined=True); scoped
+        # mode needs only the local dedup)
         self.combine_keys = tuple(combine_keys) if combine_keys else None
         self.combine_hash = combine_hash
         # rowwise=True keeps the original per-token Python scan — the
         # semantics reference for the vectorized path's equivalence
         # tests and A/B timings
         self.rowwise = rowwise
+
+    @property
+    def lex(self) -> Lexicon:
+        return _resolve_lexicon(self._lexicon)
 
     def _structural(self, batch: pa.Table, t_uri: pa.Array) -> list[pa.Table]:
         """Vectorized turn-structure triples (type / hasTurn /
@@ -343,49 +359,20 @@ def with_lineage(ds):
 
 
 def link_transcripts(ds, lexicon_ref, ns: str = ECOTOX_NS, fuzzy: bool = True,
-                     concurrency: int | tuple | None = None, batch_size: int = 4096,
+                     batch_size: int = 4096,
                      combine_keys: tuple | None = None,
                      combine_hash: bool = True):
     """Transcript Dataset → lineage-tagged triple Dataset (no shuffle).
 
-    ``combine_keys`` fuses the A1 combiner (per-batch dedup + ``__h``
-    row hash) into the actor — see :class:`LinkerStage`."""
-    if concurrency is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        # Floor the pool: Ray's autoscaling pool ramps up from min_size
-        # one actor at a time, which serializes the first ~half of the
-        # stage behind actor spawns (measured 18.1s → 11.6s on the
-        # 2M-turn link at 32 CPUs).  Never floor at ncpu: the actors
-        # RESERVE their CPU for the pool's lifetime and a full floor
-        # starves the upstream read tasks (a (32,32) pool on 32 CPUs
-        # deadlocks the pipeline).  Unfused, the downstream combiner
-        # tasks need real CPU share too — floor at half; fused
-        # (combine_keys), the linker IS the whole build phase — floor
-        # at all-but-one (reads are light and stay ahead through the
-        # single remaining slot; A/B at 8 CPUs: 6-actor floor left a
-        # quarter of the box idle through the dominant stage).
-        if combine_keys:
-            # Fused: the linker is the dominant phase, but the residual
-            # work (reads, emitters, lift_combine, dedup reduce tasks)
-            # SCALES ITS TASK COUNT with the CPU count — at 32 CPUs an
-            # all-but-one floor forces ~4x more residual tasks through
-            # ONE unreserved slot (A/B on the 2M-turn build at 32 CPUs:
-            # floor 31 → 39s, floor 24 or 16 → 31s).  Small boxes keep
-            # the all-but-one floor (A/B at 8 CPUs: floor 7 beat 6);
-            # larger ones reserve 3/4 and leave real task headroom.
-            floor = max(1, ncpu - 1) if ncpu <= 8 else (ncpu * 3) // 4
-        else:
-            floor = max(1, ncpu // 2)
-        concurrency = (floor, max(2, ncpu))
-    kwargs = {"concurrency": concurrency}
+    A pure row map, run as plain tasks: no actor pool to start per
+    build or to hold CPUs after it.  ``combine_keys`` fuses the A1
+    combiner (per-batch dedup + ``__h`` row hash) into each call — see
+    :class:`LinkerStage`."""
     return ds.map_batches(
-        LinkerStage,
-        fn_constructor_kwargs={"lexicon": lexicon_ref, "ns": ns, "fuzzy": fuzzy,
-                               "combine_keys": combine_keys,
-                               "combine_hash": combine_hash},
+        LinkerStage(lexicon_ref, ns=ns, fuzzy=fuzzy,
+                    combine_keys=combine_keys, combine_hash=combine_hash),
         batch_format="pyarrow",
         batch_size=batch_size,
-        **kwargs,
     )
 
 
@@ -623,23 +610,6 @@ def lexicon_dataset(data_dir: str, big_rows: int | None = 100_000,
                               driver_discover_limit=driver_discover_limit)
 
 
-def lexicon_triples(data_dir: str) -> pa.Table:
-    """Run ALL lexicon-table emitters driver-side, returning ONE Arrow
-    table (lineage columns nulled).
-
-    The emitters are pure ``pa.Table → pa.Table`` functions; the
-    bounded-vocabulary tables are small by definition (they are
-    broadcast into linker actors) and emitting them through separate
-    Ray datasets costs ~10s of per-dataset/union overhead to produce
-    ~50k rows.  Corpus-scaled tables (tests/results) are another
-    story — the flagship hash path emits those distributed via
-    :func:`lexicon_sources`; this whole-table helper stays for the
-    incremental/scoped paths and tests."""
-    small, big = lexicon_sources(data_dir, big_rows=None)
-    assert not big
-    return small
-
-
 def turn_keys_unique(transcripts, driver_limit: int = 50_000_000) -> bool:
     """Input-contract check for the scoped dedup pushdown: are the
     input's ``(conv_id, turn_idx)`` rows globally unique?
@@ -693,7 +663,7 @@ def turn_keys_unique(transcripts, driver_limit: int = 50_000_000) -> bool:
 
 
 def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
-             concurrency=None, batch_size: int = 4096,
+             batch_size: int = 4096,
              override_num_blocks: int | None = None,
              dedup_mode: str = "auto",
              driver_discover_limit: int = 50_000_000,
@@ -742,8 +712,8 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
 
     if override_num_blocks is None:
         ncpu = int(ray.cluster_resources().get("CPU", 4))
-        # 4 tasks per CPU: the linker pool drains blocks in waves, and
-        # at 2/CPU the last wave leaves a third of the pool idle
+        # 4 tasks per CPU: the linker drains blocks in waves, and at
+        # 2/CPU the last wave leaves a third of the CPUs idle
         # (measured 44.3s → 34.1s at 8 CPUs on the 2M-turn build)
         override_num_blocks = max(8, 4 * ncpu)
     # Read-time column pruning (SURVEY §7.4): the linker consumes only
@@ -755,15 +725,15 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
         override_num_blocks=override_num_blocks,
     )
     return build_kg_from(transcripts, data_dir, fuzzy=fuzzy, dedup=dedup,
-                         concurrency=concurrency, batch_size=batch_size,
+                         batch_size=batch_size,
                          dedup_mode=dedup_mode,
                          driver_discover_limit=driver_discover_limit,
                          big_rows=big_rows)
 
 
 def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
-                  dedup: bool = True, concurrency=None,
-                  batch_size: int = 4096, dedup_mode: str = "hash",
+                  dedup: bool = True, batch_size: int = 4096,
+                  dedup_mode: str = "hash",
                   driver_discover_limit: int = 50_000_000,
                   big_rows: int | None = 100_000):
     """:func:`build_kg` over an ALREADY-OPEN transcript Dataset — the
@@ -786,7 +756,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
     lex_ref = build_lexicon(data_dir)
     if dedup and dedup_mode == "hash":
         # fused-combiner flagship path: per-batch dedup + __h happen
-        # inside the linker actors (no separate combiner stage to
+        # inside the linker tasks (no separate combiner stage to
         # contend for CPUs); the driver-small lexicon table gets the
         # identical treatment before entering the union, while the
         # corpus-scaled tables (tests/results) are emitted DISTRIBUTED
@@ -797,7 +767,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
 
         keys = ("subj", "pred", "obj")
         triples = link_transcripts(
-            transcripts, lex_ref, fuzzy=fuzzy, concurrency=concurrency,
+            transcripts, lex_ref, fuzzy=fuzzy,
             batch_size=batch_size, combine_keys=keys,
         )
         small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows,
@@ -811,7 +781,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
         # scoped = shuffle elided for the TURN-GRAPH triples under the
         # unique-turn input contract (their subjects embed the turn id,
         # so duplicates are batch-local; the per-batch dedup is fused
-        # into the linker actors).  The lexicon graphs CAN duplicate
+        # into the linker tasks).  The lexicon graphs CAN duplicate
         # across source rows, so they get a real dedup — but ONLY they.
         # Turn-graph and lexicon subjects are disjoint by construction
         # (turn//conversation URIs + turn-derived blank nodes vs
@@ -832,7 +802,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
         # partition once instead, so no lineage re-execution.)
         keys = ("subj", "pred", "obj")
         local = link_transcripts(
-            transcripts, lex_ref, fuzzy=fuzzy, concurrency=concurrency,
+            transcripts, lex_ref, fuzzy=fuzzy,
             batch_size=batch_size, combine_keys=keys, combine_hash=False,
         )
         # bounded lexicons keep the whole build one shuffle-free
@@ -846,7 +816,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
     # too, and the global dedup (or, for dedup=False, the caller's
     # stated no-dedup semantics) covers cross-part duplicates
     triples = link_transcripts(
-        transcripts, lex_ref, fuzzy=fuzzy, concurrency=concurrency,
+        transcripts, lex_ref, fuzzy=fuzzy,
         batch_size=batch_size,
     )
     small_tbl, big = lexicon_sources(data_dir, big_rows=big_rows)
@@ -917,7 +887,7 @@ def _prev_overlaps_turns(prev_kg, sorted_hashes: np.ndarray) -> bool:
 
 
 def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
-              concurrency=None, batch_size: int = 4096,
+              batch_size: int = 4096,
               num_buckets: int = 64, materialize_prev: bool = True,
               emit: str = "union", scope: str = "auto",
               prev_turns_disjoint: bool | None = None,
@@ -997,7 +967,7 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
 
     lex_ref = build_lexicon(data_dir)
     new_triples = link_transcripts(
-        new_transcripts, lex_ref, fuzzy=fuzzy, concurrency=concurrency,
+        new_transcripts, lex_ref, fuzzy=fuzzy,
         batch_size=batch_size)
 
     if scope == "turn_unique":

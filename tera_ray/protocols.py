@@ -13,9 +13,11 @@ protocols — any object with the right shape plugs in, no inheritance:
   Pass to ``Dataset.map_batches(fn, batch_format="pyarrow")``.
 - **LinkerStage**: stateful callable CLASS — ``__init__`` pins
   broadcast state once per actor, ``__call__`` maps a batch (e.g.
-  ``pipelines.transcripts.LinkerStage``, ``state.enrich.EnrichStage``,
-  ``dedup.minhash.MinHashStage``).  Pass the class itself to
-  ``map_batches(Cls, fn_constructor_kwargs=..., concurrency=...)``.
+  ``state.enrich.EnrichStage``, ``dedup.minhash.MinHashStage``).  Pass
+  the class itself to
+  ``map_batches(Cls, fn_constructor_kwargs=..., concurrency=...)``, or
+  an INSTANCE to run it as plain tasks (``pipelines.transcripts.
+  LinkerStage``, whose lexicon ref resolves lazily per worker).
 - **Mapping**: a ``(src, dst, score)`` Dataset; combinators in
   ``state.mapping`` (threshold / invert / compose / best_per_src).
 
@@ -51,8 +53,8 @@ class TripleEmitter(Protocol):
 
 @runtime_checkable
 class LinkerStage(Protocol):
-    """Stateful actor-pool stage (T-series): constructed once per actor,
-    called per batch."""
+    """Stateful stage (T-series): constructed once per actor (or once,
+    as an instance run as tasks), called per batch."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None: ...
 

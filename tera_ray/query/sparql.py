@@ -98,7 +98,9 @@ so a reference user can run their existing query strings unchanged:
   expressions (``(expr AS ?x)``) and ORDER BY conditions
   (``ORDER BY DESC(STRLEN(?o))`` — hidden bind, dropped from output);
   bare nested groups ``{ { … } }`` inline; a query-level trailing
-  ``VALUES`` applies after the modifiers; ``sameTerm`` = string
+  ``VALUES`` joins the WHERE result after its BINDs and before the
+  solution modifiers (aggregation, DISTINCT, ORDER BY, LIMIT);
+  ``sameTerm`` = string
   equality on this plain-string store
 - ``{ SELECT … }`` subqueries — evaluated bottom-up to their own
   projected relation (aggregation / DISTINCT / ORDER / LIMIT apply

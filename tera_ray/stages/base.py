@@ -302,8 +302,8 @@ def dedup_triples_hash(ds, keys=("subj", "pred", "obj"),
     ``precombined=True`` skips step 1's map: the caller certifies every
     input batch is already batch-locally deduped on ``keys`` AND
     carries the matching ``__h`` column (the fused-combiner path —
-    ``LinkerStage(combine_keys=...)`` — which lets the linker actor
-    pool own the CPUs the separate combiner stage would fight it for).
+    ``LinkerStage(combine_keys=...)`` — which spares the build a
+    separate combiner stage competing with the linker for CPUs).
     """
     import numpy as np
 

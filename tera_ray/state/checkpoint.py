@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -338,18 +339,25 @@ def _shard_ledger_key(path: str, verify: str = "size") -> str:
     return key
 
 
+# <dir>/<name>:<size>[:<footer-sha>], parsed from the right: names may
+# hold colons (``drop-12:30/``), and the lazy name stops an all-decimal
+# sha from being read as the size
+_LEDGER_KEY = re.compile(r"^(.*?):(\d+)(?::[0-9a-f]{16})?$")
+
+
 def _ledger_name(key: str) -> str:
     """The size-free part of a ledger key (for overlap detection: a
     same-named file with DIFFERENT size is a content revision — never
     trusted as disjoint, the probe decides)."""
-    return key.split(":", 1)[0]
+    m = _LEDGER_KEY.match(key)
+    return m.group(1) if m else key
 
 
 def _ledger_sizekey(key: str) -> str:
     """A key truncated to ``<dir>/<name>:<size>`` — how ``verify="hash"``
     keys match ledger entries recorded before hash mode existed."""
-    parts = key.split(":")
-    return ":".join(parts[:2]) if len(parts) >= 2 else key
+    m = _LEDGER_KEY.match(key)
+    return f"{m.group(1)}:{m.group(2)}" if m else key
 
 
 def _ingested_keys(reg: dict, base_m: dict | None) -> set[str]:
@@ -509,7 +517,7 @@ def update_kg_incremental(root: str, data_dir: str, shard_paths,
     if verify == "hash":
         in_ledger = bool(seen_keys) and set(keys) <= seen_keys
         if not in_ledger and seen_keys:
-            pre_hash = {k for k in seen_keys if k.count(":") == 1}
+            pre_hash = {k for k in seen_keys if _ledger_sizekey(k) == k}
             in_ledger = {_ledger_sizekey(k) for k in keys} <= pre_hash
     else:
         seen_size = {_ledger_sizekey(k) for k in seen_keys}

@@ -791,6 +791,44 @@ class TestLedgerAndLock:
                                    num_partitions=2)
         assert r2["skipped"]
 
+    def test_ledger_keys_with_colons_in_the_dir_name(self, tmp_path):
+        """A shard dir like ``drop-12:30/`` keeps the size (and hash)
+        fields of its ledger key: an mtime-only re-push is skipped in
+        size mode and, after a size-mode ingest, under verify="hash"
+        too (its size-keyed entry is grandfathered)."""
+        from tera_ray.state.checkpoint import (
+            _ledger_name,
+            _ledger_sizekey,
+            _shard_ledger_key,
+            read_shard_registry,
+            update_kg_incremental,
+        )
+
+        va, _ = self._same_size_pair(tmp_path, "alpha", "omega")
+        shard = str(tmp_path / "drop-12:30" / "part:0000.parquet")
+        os.makedirs(os.path.dirname(shard))
+        os.replace(va, shard)
+        k_size = _shard_ledger_key(shard)
+        k_hash = _shard_ledger_key(shard, verify="hash")
+        size = os.path.getsize(shard)
+        assert k_size == f"drop-12:30/part:0000.parquet:{size}"
+        assert _ledger_sizekey(k_hash) == _ledger_sizekey(k_size) == k_size
+        assert _ledger_name(k_hash) == _ledger_name(k_size) \
+            == "drop-12:30/part:0000.parquet"
+
+        data_dir = str(tmp_path / "lex")
+        os.makedirs(data_dir)
+        root = str(tmp_path / "store")
+        r1 = update_kg_incremental(root, data_dir, shard, fuzzy=False,
+                                   num_partitions=2)
+        assert not r1["skipped"]
+        for verify in ("size", "hash"):
+            os.utime(shard)     # mtime-only re-push of the same bytes
+            r = update_kg_incremental(root, data_dir, shard, fuzzy=False,
+                                      num_partitions=2, verify=verify)
+            assert r["skipped"], verify
+        assert len(read_shard_registry(root)["shards"]) == 0
+
     def test_append_commit_merges_concurrent_registration(
             self, tmp_path, monkeypatch):
         """A sibling append that commits while this shard builds must

@@ -564,3 +564,149 @@ class TestHotConversationTorture:
         for c, rows in per_conv.items():
             srt = sorted(rows)
             assert all(t == f"{c}|t{i}" for i, t in srt)
+
+
+def _wait_cpus_free(timeout: float) -> bool:
+    """Poll until every CPU of the session is free; no garbage
+    collection in between."""
+    import time
+
+    import ray
+
+    total = ray.cluster_resources().get("CPU", 0)
+    deadline = time.monotonic() + timeout
+    while True:
+        if ray.available_resources().get("CPU", 0) >= total:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestTaskLinker:
+    """The linker runs as plain Ray tasks over a per-process cached
+    lexicon: no actor pool to reserve CPUs during or after a build."""
+
+    def test_lexicon_cache_follows_the_ref(self):
+        import pickle
+
+        import ray
+        from tera_ray.pipelines import transcripts as tr_mod
+
+        a, b = make_lex(), Lexicon()
+        b.add("Oryzias latipes", "tax/7", "species")
+        b.build_fuzzy()
+        ref_a, ref_b = ray.put(a), ray.put(b)
+        assert tr_mod._resolve_lexicon(a) is a      # a Lexicon passes through
+        got_a = tr_mod._resolve_lexicon(ref_a)
+        assert tr_mod._resolve_lexicon(ref_a) is got_a   # cached
+        got_b = tr_mod._resolve_lexicon(ref_b)
+        assert set(got_b.spans) != set(got_a.spans)
+        assert tr_mod._LEXICON_CACHE[0] == ref_b.binary()  # one entry
+        # an instance built from a ref pickles the ref, not the lexicon
+        stage = tr_mod.LinkerStage(ref_a)
+        assert len(pickle.dumps(stage)) < 2048
+        assert stage.lex is tr_mod._resolve_lexicon(ref_a)
+
+    def test_link_operator_is_a_task_map(self, fixtures_t1):
+        """One ``MapBatches(LinkerStage)`` operator (run reports find
+        the link UDF time by that name), run with the task strategy."""
+        import ray
+        from ray.data._internal.compute import TaskPoolStrategy
+        from tera_ray.pipelines.transcripts import build_lexicon, link_transcripts
+
+        path = os.path.join(fixtures_t1, "transcripts.parquet")
+        ds = link_transcripts(ray.data.read_parquet(path),
+                              build_lexicon(fixtures_t1))
+        op = ds._logical_plan.dag
+        assert op.name == "MapBatches(LinkerStage)"
+        assert isinstance(op._compute, TaskPoolStrategy)
+        assert "MapBatches(LinkerStage)" in ds.materialize().stats()
+
+    def test_cpus_free_right_after_build(self, fixtures_t1, tmp_path):
+        """A finished build holds no CPUs: every session CPU is free
+        within 1 s of ``write_parquet`` returning, without a garbage
+        collection (an actor pool kept them for about 10 s)."""
+        import gc
+
+        from tera_ray.pipelines.transcripts import build_kg
+
+        gc.collect()
+        assert _wait_cpus_free(60), "session not idle before the build"
+        build_kg(fixtures_t1).write_parquet(str(tmp_path / "kg"))
+        assert _wait_cpus_free(1.0)
+
+    def test_back_to_back_builds_use_their_own_lexicon(self, fixtures_t1,
+                                                       tmp_path):
+        """Two builds in one session over data dirs whose species tables
+        differ only in their ids: each store links to its own ids, so a
+        worker's cached lexicon is never served to the next build."""
+        from tera_ray.pipelines.transcripts import build_kg
+
+        ns = ECOTOX_NS + "taxon/"
+        dirs = {}
+        for tag, prefix in [("a", ""), ("b", "x")]:
+            d = tmp_path / tag
+            d.mkdir()
+            for name in os.listdir(fixtures_t1):
+                src = os.path.join(fixtures_t1, name)
+                if name in ("species.parquet", "species_synonyms.parquet"):
+                    t = pq.read_table(src)
+                    num = t["species_number"]
+                    t = t.set_column(
+                        t.schema.get_field_index("species_number"),
+                        "species_number",
+                        pc.binary_join_element_wise(prefix, num, ""))
+                    pq.write_table(t, str(d / name))
+                else:
+                    os.symlink(src, str(d / name))
+            dirs[tag] = str(d)
+
+        def mentions(d):
+            rows = build_kg(d).filter(
+                expr=f"pred == '{ECOTOX_NS}mentionsTaxon'").take_all()
+            return {(r["subj"], r["obj"]) for r in rows}
+
+        got_a = mentions(dirs["a"])
+        got_b = mentions(dirs["b"])
+        got_a2 = mentions(dirs["a"])
+        assert got_a and got_a == got_a2
+        assert not any(o.startswith(ns + "x") for _, o in got_a)
+        assert got_b == {(s, o.replace(ns, ns + "x", 1)) for s, o in got_a}
+
+
+def test_build_kg_finishes_on_one_cpu(fixtures_t1):
+    """A 1-CPU session builds to completion.  An actor pool floored at
+    every CPU reserved the only one, so the read never scheduled and
+    the build hung for good.  Own session in a subprocess (the suite's
+    has 4 CPUs), killed with its process group on timeout."""
+    import signal
+    import subprocess
+    import sys
+    import textwrap
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {repo!r})
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR", object_store_memory=200 * 2**20)
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        from tera_ray.pipelines.transcripts import build_kg
+        print(build_kg({fixtures_t1!r}).count())
+        ray.shutdown()
+    """)
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("build_kg did not finish on a 1-CPU session in 180 s")
+    assert proc.returncode == 0, err[-2000:]
+    assert int(out.strip().splitlines()[-1]) > 0
