@@ -13,6 +13,12 @@ Stage layout (all streaming, no driver materialization):
 - mention linking is a PURE ``map_batches`` over raw turn rows — no
   shuffle; plain tasks on warm workers, each worker deserializing the
   ``ray.put`` lexicon once per build (:func:`_resolve_lexicon`).
+- on :func:`build_kg`'s scoped dedup route the deduplicated lexicon
+  graph rides inside the linker: the one batch holding the *owner*
+  turn (the smallest turn-key hash) appends it, so
+  ``build_kg(...).write_parquet`` runs as one fused
+  ``MapBatches(LinkerStage)->Write`` operator with no union in front
+  of the sink (:func:`_build`).
 - turn-order facts (``precededBy``) are computed per-row from the dense
   ``turn_idx`` — order-faithful without a shuffle.
 - conversation reconstruction (SURVEY K4) groups by ``conv_id`` and
@@ -46,10 +52,6 @@ TRANSCRIPT_GRAPH = "transcripts"
 _NUM_RE = re.compile(r"^\d+(\.\d+)?([eE]-?\d+)?$")
 
 
-def turn_uri(ns: str, conv_id: str, turn_idx: int) -> str:
-    return f"{ns}turn/{conv_id}/{turn_idx}"
-
-
 _LEXICON_CACHE: tuple[bytes, Lexicon] | None = None   # (ref id, lexicon)
 
 
@@ -81,11 +83,18 @@ class LinkerStage:
       node mirroring ``results_func`` (``tera/DataAggregation.py:436-456``)
       with ``endpoint`` / ``effect`` edges and a concentration BNode
       carrying ``rdf:value`` + parsed ``unit:units``.
+
+    ``carry=(owner, table_ref)`` appends the broadcast table once, to
+    the output of the batch whose ``(conv_id, turn_idx)`` hash
+    (:func:`~tera_ray.stages.base.hash_column`) equals ``owner``: with
+    exactly one input row hashing to ``owner`` the table is emitted
+    exactly once per execution (see :func:`_build`).
     """
 
     def __init__(self, lexicon, ns: str = ECOTOX_NS, graph: str = TRANSCRIPT_GRAPH,
                  fuzzy: bool = True, combine_keys: tuple | None = None,
-                 combine_hash: bool = True, rowwise: bool = False):
+                 combine_hash: bool = True, rowwise: bool = False,
+                 carry: tuple | None = None):
         assert isinstance(lexicon, (Lexicon, ray.ObjectRef))
         self._lexicon = lexicon
         self.ns = ns
@@ -102,6 +111,7 @@ class LinkerStage:
         # semantics reference for the vectorized path's equivalence
         # tests and A/B timings
         self.rowwise = rowwise
+        self.carry = carry
 
     @property
     def lex(self) -> Lexicon:
@@ -296,13 +306,19 @@ class LinkerStage:
         out = pa.concat_tables(
             parts + ([mention_tbl] if n else []),
             promote_options="none")
-        if self.combine_keys:
-            from ..stages.base import dedup_table, hash_column
+        from ..stages.base import dedup_table, hash_column
 
+        if self.combine_keys:
             out = dedup_table(out, self.combine_keys)
-            if self.combine_hash:
-                out = out.append_column(
-                    "__h", hash_column(out, self.combine_keys))
+        if self.carry is not None:
+            owner, table_ref = self.carry
+            if (hash_column(batch, ("conv_id", "turn_idx"))
+                    .to_numpy() == owner).any():
+                out = pa.concat_tables([out, ray.get(table_ref)],
+                                       promote_options="none")
+        if self.combine_keys and self.combine_hash:
+            out = out.append_column(
+                "__h", hash_column(out, self.combine_keys))
         return out
 
     def _find_concentration(self, tokens: list[str]):
@@ -339,23 +355,6 @@ class LinkerStage:
                 if unit:
                     done.add(dc)
                     yield dc, orig_np[p], unit
-
-
-def with_lineage(ds):
-    """Lift plain 5-col triple batches to the lineage schema (null conv)."""
-
-    def add(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                **{c: t[c] for c in t.schema.names},
-                "conv_id": pa.nulls(n, pa.string()),
-                "turn_idx": pa.nulls(n, pa.int32()),
-            },
-            schema=TRIPLE_LINEAGE_SCHEMA,
-        )
-
-    return ds.map_batches(add, batch_format="pyarrow")
 
 
 def link_transcripts(ds, lexicon_ref, ns: str = ECOTOX_NS, fuzzy: bool = True,
@@ -598,9 +597,15 @@ def lexicon_dataset(data_dir: str, big_rows: int | None = 100_000,
     one driver batch; when big tables exist the whole lexicon
     partition goes through ``dedup_triples_hash`` (8 B/row
     exchange)."""
+    small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows, keys)
+    return _dedup_lexicon(small_tbl, parts, keys, driver_discover_limit)
+
+
+def _dedup_lexicon(small_tbl: pa.Table, parts: list, keys,
+                   driver_discover_limit: int):
+    """:func:`lexicon_dataset` over already-emitted sources."""
     from ..stages.base import dedup_triples_hash
 
-    small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows, keys)
     if not parts:
         return ray.data.from_arrow(small_tbl.drop_columns(["__h"]))
     ds = ray.data.from_arrow(small_tbl)
@@ -624,11 +629,31 @@ def turn_keys_unique(transcripts, driver_limit: int = 50_000_000) -> bool:
     never wrong); true duplicate keys always collide, so ``True`` is
     trustworthy.
     """
-    from ..stages.base import hash_column
+    unique, _ = _turn_key_contract(transcripts, driver_limit)
+    return (_turn_keys_unique_distributed(transcripts) if unique is None
+            else unique)
 
+
+def _turn_key_contract(transcripts, driver_limit: int = 50_000_000):
+    """One hash pass over the input's turn keys: ``(unique, owner)``.
+
+    ``unique`` is :func:`turn_keys_unique`'s answer.  ``owner`` is the
+    smallest key hash when exactly one row has it, else ``None`` (an
+    empty input or a tie).  The owner row's batch is the one that
+    carries the lexicon graph on the scoped route.  Above
+    ``driver_limit`` rows the hashes never reach the driver: both are
+    ``None``."""
     allh = _turn_key_hashes(transcripts, driver_limit)
-    if allh is not None:
-        return not bool((allh[1:] == allh[:-1]).any())
+    if allh is None:
+        return None, None
+    unique = not bool((allh[1:] == allh[:-1]).any())
+    sole = len(allh) == 1 or (len(allh) > 1 and allh[1] != allh[0])
+    return unique, (allh[0] if sole else None)
+
+
+def _turn_keys_unique_distributed(transcripts) -> bool:
+    """:func:`turn_keys_unique` above the driver limit."""
+    from ..stages.base import hash_column
 
     def h(t: pa.Table) -> pa.Table:
         return pa.table({"__h": hash_column(t, ("conv_id", "turn_idx"))})
@@ -702,11 +727,18 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
       only duplicate within the batch that produced it — a local
       ``dedup_table`` per batch is exactly equivalent to the global
       shuffle.  The shared lexicon graphs (whose triples DO repeat
-      across source rows) are deduped driver-side (they are
-      broadcast-scale by definition).  Set equality with ``"global"``
-      is asserted in ``tests/test_transcripts.py``.  Use for inputs
-      that honor the unique-turn contract; measured 2×+ on the
-      20M-triple build (the shuffle removed only 0.3% duplicates).
+      across source rows) are deduped driver-side when every lexicon
+      table is bounded (below ``big_rows``), and the linker batch that
+      holds the owner turn (the smallest turn-key hash, found by the
+      same hash pass as the contract check) appends them once: the
+      build is one fused link→write operator with no union
+      (:func:`build_kg_from`, whose input may change between runs,
+      unions them instead).  Corpus-scaled lexicon tables are emitted
+      distributed and deduped by :func:`lexicon_dataset`, then
+      unioned.  Set equality with
+      ``"global"`` is asserted in ``tests/test_transcripts.py``.  Use
+      for inputs that honor the unique-turn contract; measured 2×+ on
+      the 20M-triple build (the shuffle removed only 0.3% duplicates).
     """
     import os
 
@@ -724,11 +756,9 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
         columns=["conv_id", "turn_idx", "text"],
         override_num_blocks=override_num_blocks,
     )
-    return build_kg_from(transcripts, data_dir, fuzzy=fuzzy, dedup=dedup,
-                         batch_size=batch_size,
-                         dedup_mode=dedup_mode,
-                         driver_discover_limit=driver_discover_limit,
-                         big_rows=big_rows)
+    return _build(transcripts, data_dir, fuzzy, dedup, batch_size,
+                  dedup_mode, driver_discover_limit, big_rows,
+                  own_read=True)
 
 
 def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
@@ -746,13 +776,38 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
     :func:`lexicon_sources` threshold above which a lexicon table is
     emitted DISTRIBUTED instead of driver-side (None = all driver-side;
     tests lower it to exercise the distributed routing on small
-    fixtures)."""
+    fixtures).
+
+    ``dedup_mode="auto"`` checks the unique-turn contract on one run of
+    ``transcripts`` and builds from another, so its scoped route is
+    exact only when every run yields the same rows.  Unlike
+    :func:`build_kg`, whose own read always does, this entry point
+    never carries the lexicon graph inside a linker batch (that needs
+    the owner turn in the build's run): it unions it, so an input whose
+    rows change between runs (a ``limit`` over shuffled blocks, a
+    random filter) still yields the whole lexicon graph."""
+    return _build(transcripts, data_dir, fuzzy, dedup, batch_size,
+                  dedup_mode, driver_discover_limit, big_rows,
+                  own_read=False)
+
+
+def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
+           batch_size: int, dedup_mode: str, driver_discover_limit: int,
+           big_rows: int | None, own_read: bool):
+    """:func:`build_kg_from`; ``own_read`` says :func:`build_kg` opened
+    ``transcripts`` itself, so each run yields the same rows and the
+    scoped route may carry the lexicon graph on the owner turn."""
+    contract = None
     if dedup and dedup_mode == "auto":
         # contract-checked pushdown (see build_kg's dedup_mode docs):
-        # the check costs one 2-column pass over the input; re-running
-        # the transcripts Dataset afterwards is safe (Datasets re-execute
+        # the check costs one 2-column pass over the input, which also
+        # names the scoped route's owner turn (Datasets re-execute
         # from their source)
-        dedup_mode = "scoped" if turn_keys_unique(transcripts) else "hash"
+        contract = _turn_key_contract(transcripts)
+        unique = contract[0]
+        if unique is None:
+            unique = _turn_keys_unique_distributed(transcripts)
+        dedup_mode = "scoped" if unique else "hash"
     lex_ref = build_lexicon(data_dir)
     if dedup and dedup_mode == "hash":
         # fused-combiner flagship path: per-batch dedup + __h happen
@@ -789,28 +844,32 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
         # of the whole (set-equality with "global" asserted in
         # tests/test_transcripts.py).
         #
-        # Lexicon emission routing mirrors the hash branch: bounded-
-        # vocabulary tables emit driver-side (one dedup_table covers
-        # their cross-table duplicates exactly), while CORPUS-SCALED
-        # tables (tests/results analogs grow with the fixture) emit
-        # DISTRIBUTED and the lexicon partition alone goes through
-        # dedup_triples_hash — only 8 B/row cross its exchange, and
-        # the dominant turn-graph partition still never shuffles.
-        # (An earlier A/B used a lazily-composed SORT dedup here and
-        # lost on one box — the sort's boundary sampling re-executes
-        # the emit lineage; the hash path materializes the lexicon
-        # partition once instead, so no lineage re-execution.)
+        # Bounded lexicon tables dedup driver-side in one batch, which
+        # the owner turn's linker batch carries when build_kg opened the
+        # read (one Ray Data operator from read to sink, so the linker
+        # keeps every CPU instead of sharing the executor's reservations
+        # with a union); other inputs union that batch.  A
+        # CORPUS-SCALED table (tests/results analogs grow with the
+        # fixture) emits DISTRIBUTED and the lexicon partition alone
+        # goes through dedup_triples_hash — only 8 B/row cross its
+        # exchange, and the turn-graph partition still never shuffles.
         keys = ("subj", "pred", "obj")
-        local = link_transcripts(
-            transcripts, lex_ref, fuzzy=fuzzy,
-            batch_size=batch_size, combine_keys=keys, combine_hash=False,
-        )
-        # bounded lexicons keep the whole build one shuffle-free
-        # execution; big tables route through the lexicon-partition
-        # hash dedup (lexicon_dataset) — turn-graph still never shuffles
-        return local.union(lexicon_dataset(
-            data_dir, big_rows=big_rows, keys=keys,
-            driver_discover_limit=driver_discover_limit))
+        small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows,
+                                                     keys)
+        carry = None
+        if own_read and not parts:
+            # an explicit "scoped" build runs the hash pass only here
+            _, owner = contract or _turn_key_contract(transcripts)
+            if owner is not None:
+                carry = (owner, ray.put(small_tbl.drop_columns(["__h"])))
+        local = transcripts.map_batches(
+            LinkerStage(lex_ref, fuzzy=fuzzy, combine_keys=keys,
+                        combine_hash=False, carry=carry),
+            batch_format="pyarrow", batch_size=batch_size)
+        if carry is not None:
+            return local
+        return local.union(_dedup_lexicon(small_tbl, parts, keys,
+                                          driver_discover_limit))
     # generic tail (global sort dedup / dedup=False): big lexicon tables
     # still emit distributed — driver-side emission is O(corpus) there
     # too, and the global dedup (or, for dedup=False, the caller's

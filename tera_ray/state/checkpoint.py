@@ -301,33 +301,40 @@ def _registry_lock(root: str, timeout: float = 120.0):
         os.close(fd)
 
 
-def _content_signature(path: str, tail: int = 65536) -> str:
-    """Cheap content signature: SHA-256 of the LAST ``tail`` bytes —
-    the parquet footer (row-group offsets, statistics, schema), which
-    any realistic content revision perturbs — never the data pages.
-    Covers the whole file when it is smaller than ``tail``."""
+def _content_signature(path: str, whole: int = 16 << 20,
+                       edge: int = 1 << 20) -> str:
+    """Content signature, 16 hex digits of SHA-256: over the whole file
+    up to ``whole`` bytes; above that, over its first and last ``edge``
+    bytes — the leading data pages and the parquet footer (row-group
+    offsets, statistics, schema), which any realistic revision of a
+    large file perturbs."""
     import hashlib
 
     h = hashlib.sha256()
     size = os.path.getsize(path)
     with open(path, "rb") as f:
-        f.seek(max(0, size - tail))
-        h.update(f.read())
+        if size <= whole:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                h.update(chunk)
+        else:
+            h.update(f.read(edge))
+            f.seek(size - edge)
+            h.update(f.read(edge))
     return h.hexdigest()[:16]
 
 
 def _shard_ledger_key(path: str, verify: str = "size") -> str:
     """Identity of an ingested shard FILE in the re-delivery ledger:
     ``<parent-dir-name>/<file-name>:<size>`` (``verify="size"``, the
-    default) or ``…:<size>:<footer-sha>`` (``verify="hash"``).  Plain
+    default) or ``…:<size>:<content-sha>`` (``verify="hash"``).  Plain
     basenames collide under the standard ``part-0000.parquet`` writer
     naming across feed directories; the parent segment separates daily
     drops and the size separates content revisions (an mtime-only
     re-upload of identical bytes keeps its size and still matches).
     ``verify="hash"`` additionally separates a same-size IN-PLACE
     content rewrite (e.g. a fixed-path feed overwriting
-    ``incoming/part-0000.parquet``) at the cost of one footer read per
-    shard file per ingest attempt."""
+    ``incoming/part-0000.parquet``) at the cost of reading up to 16 MiB
+    of each shard file per ingest attempt (:func:`_content_signature`)."""
     if not os.path.exists(path):
         return (f"{os.path.basename(os.path.dirname(path))}/"
                 f"{os.path.basename(path)}:0")
@@ -339,7 +346,7 @@ def _shard_ledger_key(path: str, verify: str = "size") -> str:
     return key
 
 
-# <dir>/<name>:<size>[:<footer-sha>], parsed from the right: names may
+# <dir>/<name>:<size>[:<content-sha>], parsed from the right: names may
 # hold colons (``drop-12:30/``), and the lazy name stops an all-decimal
 # sha from being read as the size
 _LEDGER_KEY = re.compile(r"^(.*?):(\d+)(?::[0-9a-f]{16})?$")
@@ -465,11 +472,14 @@ def update_kg_incremental(root: str, data_dir: str, shard_paths,
       AND consolidation); a partial name overlap or a same-named file
       with different size is never skipped and never trusted as
       disjoint — the prev-overlap probe decides.  ``verify="hash"``
-      folds a parquet-footer signature into the ledger key, so a
+      folds a content signature into the ledger key, so a
       same-size IN-PLACE content rewrite (invisible to size keys) is
-      ingested as a new shard; off by default — it costs one footer
-      read per shard file per attempt, and pre-hash ledger entries
-      are grandfathered by their size key.
+      ingested as a new shard; off by default — it costs up to 16 MiB
+      of reads per shard file per attempt, and pre-hash ledger entries
+      are grandfathered by their size key.  Files above 16 MiB are
+      signed by their first and last MiB only: a same-size rewrite
+      confined to the pages between, under a byte-identical footer,
+      still reads as a re-delivery.
     - Unchanged lexicon tables (fingerprint match in the registry) →
       ``update_kg(lexicon_unchanged=True)``: the append never reads
       prev at all — O(new shard), measured store-size-independent
@@ -506,7 +516,7 @@ def update_kg_incremental(root: str, data_dir: str, shard_paths,
     # revision — never skipped AND never trusted as disjoint; any
     # partial name overlap likewise revokes the attestation (the
     # prev-overlap probe decides), so trust_sharding can never
-    # double-ingest turns.  ``verify="hash"`` keys carry a footer
+    # double-ingest turns.  ``verify="hash"`` keys carry a content
     # signature too, so a same-size IN-PLACE rewrite is a new shard —
     # but entries ingested BEFORE hash mode match on their size key
     # (grandfathered: re-pushes of old shards stay idempotent).  The

@@ -490,9 +490,10 @@ def test_sigkill_mid_write_then_resume(tmp_path):
     import time
 
     root = str(tmp_path)
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = textwrap.dedent(f"""
         import sys, time
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, {repo!r})
         import ray
         ray.init(address="local", num_cpus=2, include_dashboard=False,
                  logging_level="ERROR")
@@ -708,6 +709,28 @@ class TestLedgerAndLock:
         assert k_hash2 != k_hash1                           # detected
         assert _ledger_sizekey(k_hash1) == _ledger_sizekey(k_hash2) == k_size1
         assert _ledger_name(k_hash1) == _ledger_name(k_size1)
+
+    def test_hash_key_sees_an_early_byte(self, tmp_path):
+        """Two same-size files that differ only in byte 100 get
+        different ``verify="hash"`` keys, whether hashed whole or by
+        head and tail (a tail-only signature gave them the same key)."""
+        from tera_ray.state.checkpoint import (
+            _content_signature,
+            _shard_ledger_key,
+        )
+
+        body = bytes(range(256)) * 1024            # 256 KiB
+        keys = []
+        for i, first in enumerate((b"A", b"B")):
+            # same <dir>/<name>:<size> prefix: only the hash can differ
+            d = tmp_path / str(i) / "incoming"
+            d.mkdir(parents=True)
+            p = d / "part-0000.parquet"
+            p.write_bytes(body[:100] + first + body[101:])
+            keys.append((_shard_ledger_key(str(p), verify="hash"),
+                         _content_signature(str(p), whole=4096, edge=4096)))
+        assert keys[0][0] != keys[1][0]           # hashed whole
+        assert keys[0][1] != keys[1][1]           # hashed head + tail
 
     def test_incremental_hash_verify_ingests_same_size_rewrite(
             self, tmp_path):

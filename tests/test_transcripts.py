@@ -24,6 +24,21 @@ def make_lex():
     return lex
 
 
+def _spo(tables):
+    """Row multiset of (subj, pred, obj) over Arrow tables."""
+    from collections import Counter
+
+    out = Counter()
+    for b in tables:
+        out.update(zip(b["subj"].to_pylist(), b["pred"].to_pylist(),
+                       b["obj"].to_pylist()))
+    return out
+
+
+def _ds_spo(ds):
+    return _spo(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+
+
 class TestLexicon:
     def test_tokenize_strips_punct(self):
         assert tokenize("Exposure of Danio rerio (MOR).") == [
@@ -275,34 +290,23 @@ class TestScopedDedup:
         set: a set compare could not detect scoped mode emitting the
         same triple from two batches, which would break the A1
         no-duplicates contract (round-1 advisor finding)."""
-        from collections import Counter
-
         from tera_ray.pipelines.transcripts import build_kg
 
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-                out.update(zip(b["subj"].to_pylist(), b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
-
-        g = spo(build_kg(fixtures_t1, dedup_mode="global"))
-        s = spo(build_kg(fixtures_t1, dedup_mode="scoped"))
+        g = _ds_spo(build_kg(fixtures_t1, dedup_mode="global"))
+        s = _ds_spo(build_kg(fixtures_t1, dedup_mode="scoped"))
         assert g == s and len(g) > 0
         # the scoped output itself must contain no duplicate triples
         assert all(c == 1 for c in s.values()), (
             f"{sum(c > 1 for c in s.values())} duplicated triples in scoped mode")
         # the judged default ("auto") routes through the contract check
         # and must emit the identical multiset
-        assert spo(build_kg(fixtures_t1)) == g
+        assert _ds_spo(build_kg(fixtures_t1)) == g
 
     def test_turn_keys_unique_contract_check(self, fixtures_t1):
         """turn_keys_unique: True on the unique-turn fixture; False once
         any (conv_id, turn_idx) row repeats; the distributed (above
         driver_limit) path agrees with the driver path; and auto mode on
         a contract-violating input still matches the global multiset."""
-        from collections import Counter
-
         import ray.data
 
         from tera_ray.pipelines.transcripts import (
@@ -319,16 +323,8 @@ class TestScopedDedup:
         assert turn_keys_unique(dup) is False
         assert turn_keys_unique(dup, driver_limit=10) is False
 
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow",
-                                     batch_size=None):
-                out.update(zip(b["subj"].to_pylist(), b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
-
-        want = spo(build_kg_from(tr, fixtures_t1, dedup_mode="global"))
-        got = spo(build_kg_from(dup, fixtures_t1, dedup_mode="auto"))
+        want = _ds_spo(build_kg_from(tr, fixtures_t1, dedup_mode="global"))
+        got = _ds_spo(build_kg_from(dup, fixtures_t1, dedup_mode="auto"))
         assert got == want  # auto fell back to hash and deduped the twin
 
     def test_scoped_with_big_tables_distributed(self, fixtures_t1):
@@ -337,27 +333,17 @@ class TestScopedDedup:
         scoped result must stay multiset-identical to global (verdict
         r03 item 1: the judged default must have zero O(corpus)
         driver-side emission)."""
-        from collections import Counter
-
         from tera_ray.pipelines.transcripts import build_kg
 
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow",
-                                     batch_size=None):
-                out.update(zip(b["subj"].to_pylist(), b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
-
-        want = spo(build_kg(fixtures_t1, dedup_mode="global"))
-        got = spo(build_kg(fixtures_t1, dedup_mode="scoped", big_rows=1))
+        want = _ds_spo(build_kg(fixtures_t1, dedup_mode="global"))
+        got = _ds_spo(build_kg(fixtures_t1, dedup_mode="scoped", big_rows=1))
         assert got == want and len(want) > 0
         assert max(got.values()) == 1
         # the generic (global) tail's distributed big-table emission too
-        got_g = spo(build_kg(fixtures_t1, dedup_mode="global", big_rows=1))
+        got_g = _ds_spo(build_kg(fixtures_t1, dedup_mode="global", big_rows=1))
         assert got_g == want
         # and the judged auto default with forced big routing
-        got_a = spo(build_kg(fixtures_t1, dedup_mode="auto", big_rows=1))
+        got_a = _ds_spo(build_kg(fixtures_t1, dedup_mode="auto", big_rows=1))
         assert got_a == want
 
 
@@ -366,8 +352,6 @@ class TestIncrementalUpdate:
     def test_update_equals_full_rebuild(self, fixtures_t1):
         """update_kg(prev=even-conv KG, new=odd-conv shard) must be
         row-multiset identical to the one-shot full build."""
-        from collections import Counter
-
         import pyarrow.compute as pc
 
         import ray.data
@@ -377,15 +361,6 @@ class TestIncrementalUpdate:
             build_kg_from,
             update_kg,
         )
-
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow",
-                                     batch_size=None):
-                out.update(zip(b["subj"].to_pylist(),
-                               b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
 
         tr = ray.data.read_parquet(
             os.path.join(fixtures_t1, "transcripts.parquet"))
@@ -407,8 +382,8 @@ class TestIncrementalUpdate:
         merged = update_kg(
             prev, tr.map_batches(half(False), batch_format="pyarrow"),
             fixtures_t1)
-        got = spo(merged)
-        want = spo(build_kg(fixtures_t1))
+        got = _ds_spo(merged)
+        want = _ds_spo(build_kg(fixtures_t1))
         assert got == want and len(want) > 0
         # no duplicate triples in the merged store
         assert max(got.values()) == 1
@@ -417,13 +392,13 @@ class TestIncrementalUpdate:
         prev2 = build_kg_from(
             tr.map_batches(half(True), batch_format="pyarrow"),
             fixtures_t1)
-        novel_g = spo(update_kg(
+        novel_g = _ds_spo(update_kg(
             prev2, tr.map_batches(half(False), batch_format="pyarrow"),
             fixtures_t1, emit="novel", scope="global"))
         prev3 = build_kg_from(
             tr.map_batches(half(True), batch_format="pyarrow"),
             fixtures_t1)
-        novel_s = spo(update_kg(
+        novel_s = _ds_spo(update_kg(
             prev3, tr.map_batches(half(False), batch_format="pyarrow"),
             fixtures_t1, emit="novel", scope="turn_unique"))
         assert novel_g == novel_s and len(novel_g) > 0
@@ -433,27 +408,16 @@ class TestIncrementalUpdate:
         new shard's turns already exist in prev (re-delivery): the
         overlap probe routes to the global anti-join and the merged
         store stays duplicate-free and identical to the full build."""
-        from collections import Counter
-
         import ray.data
 
         from tera_ray.pipelines.transcripts import build_kg, update_kg
 
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow",
-                                     batch_size=None):
-                out.update(zip(b["subj"].to_pylist(),
-                               b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
-
         tr = ray.data.read_parquet(
             os.path.join(fixtures_t1, "transcripts.parquet"))
-        want = spo(build_kg(fixtures_t1))
+        want = _ds_spo(build_kg(fixtures_t1))
         prev = build_kg(fixtures_t1)  # full store
         shard = tr.limit(200)  # every turn already delivered
-        got = spo(update_kg(prev, shard, fixtures_t1, scope="auto"))
+        got = _ds_spo(update_kg(prev, shard, fixtures_t1, scope="auto"))
         assert got == want
         assert max(got.values()) == 1  # no re-delivered duplicates
 
@@ -462,8 +426,6 @@ class TestIncrementalUpdate:
         must NOT raise (the r03 assert): the lexicon novelty check
         switches to the distributed anti-join against prev's shared
         partition, and the merged multiset stays exact."""
-        from collections import Counter
-
         import pyarrow.compute as pc
 
         import ray.data
@@ -473,15 +435,6 @@ class TestIncrementalUpdate:
             build_kg_from,
             update_kg,
         )
-
-        def spo(ds):
-            out = Counter()
-            for b in ds.iter_batches(batch_format="pyarrow",
-                                     batch_size=None):
-                out.update(zip(b["subj"].to_pylist(),
-                               b["pred"].to_pylist(),
-                               b["obj"].to_pylist()))
-            return out
 
         tr = ray.data.read_parquet(
             os.path.join(fixtures_t1, "transcripts.parquet"))
@@ -503,8 +456,8 @@ class TestIncrementalUpdate:
         merged = update_kg(
             prev, tr.map_batches(half(False), batch_format="pyarrow"),
             fixtures_t1, scope="auto", shared_graph_limit=1)
-        got = spo(merged)
-        want = spo(build_kg(fixtures_t1))
+        got = _ds_spo(merged)
+        want = _ds_spo(build_kg(fixtures_t1))
         assert got == want and max(got.values()) == 1
 
 
@@ -674,6 +627,134 @@ class TestTaskLinker:
         assert got_a and got_a == got_a2
         assert not any(o.startswith(ns + "x") for _, o in got_a)
         assert got_b == {(s, o.replace(ns, ns + "x", 1)) for s, o in got_a}
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCarriedLexicon:
+    """On the scoped route with bounded lexicon tables, the owner
+    turn's linker batch carries the deduplicated lexicon graph, so the
+    build has no union in front of the sink."""
+
+    @pytest.mark.parametrize("mode", ["auto", "scoped"])
+    def test_build_is_one_fused_operator(self, fixtures_t1, tmp_path, mode):
+        from tera_ray.pipelines.transcripts import build_kg
+
+        out = str(tmp_path / "kg")
+        ds = build_kg(fixtures_t1, dedup_mode=mode)
+        ds.write_parquet(out)
+        stats = ds.stats()
+        assert "MapBatches(LinkerStage)->Write" in stats
+        assert "Union" not in stats
+        got = _spo([pq.read_table(out)])
+        assert got == _ds_spo(build_kg(fixtures_t1, dedup_mode="global"))
+        assert max(got.values()) == 1
+
+    def test_many_small_batches_emit_the_lexicon_once(self, fixtures_t1):
+        from tera_ray.pipelines.transcripts import (TRANSCRIPT_GRAPH,
+                                                    build_kg, lexicon_dataset)
+
+        got = build_kg(fixtures_t1, override_num_blocks=64, batch_size=64)
+        rows = list(got.iter_batches(batch_format="pyarrow",
+                                     batch_size=None))
+        spo = _spo(rows)
+        assert max(spo.values()) == 1
+        assert spo == _ds_spo(build_kg(fixtures_t1, dedup_mode="global"))
+        t = pa.concat_tables(rows)
+        lex = _spo([t.filter(pc.not_equal(t["graph"], TRANSCRIPT_GRAPH))])
+        assert lex == _ds_spo(lexicon_dataset(fixtures_t1))
+
+    def test_zero_turns_still_yield_the_lexicon_graph(self, fixtures_t1,
+                                                      tmp_path):
+        import ray.data
+
+        from tera_ray.pipelines.transcripts import (_turn_key_contract,
+                                                    build_kg, build_kg_from,
+                                                    lexicon_dataset)
+
+        path = os.path.join(fixtures_t1, "transcripts.parquet")
+        empty = ray.data.read_parquet(
+            path, columns=["conv_id", "turn_idx", "text"]).limit(0)
+        assert _turn_key_contract(empty) == (True, None)
+        # the same lexicon tables next to a zero-row transcripts file
+        for name in os.listdir(fixtures_t1):
+            if name.endswith(".parquet") and name != "transcripts.parquet":
+                os.symlink(os.path.join(fixtures_t1, name), tmp_path / name)
+        pq.write_table(pq.read_table(path).slice(0, 0),
+                       tmp_path / "transcripts.parquet")
+        want = _ds_spo(lexicon_dataset(fixtures_t1))
+        assert len(want) > 0
+        for mode in ("auto", "scoped"):
+            assert _ds_spo(build_kg(str(tmp_path), dedup_mode=mode)) == want
+            assert _ds_spo(build_kg_from(empty, fixtures_t1,
+                                         dedup_mode=mode)) == want
+
+    def test_input_whose_rows_change_keeps_the_lexicon_graph(
+            self, fixtures_t1):
+        """``build_kg_from`` cannot know that its input yields the same
+        rows on every run, so it unions the lexicon graph rather than
+        carry it on an owner turn that the build's run may not hold."""
+        import random
+
+        import ray.data
+
+        from tera_ray.pipelines.transcripts import (TRANSCRIPT_GRAPH,
+                                                    build_kg_from,
+                                                    lexicon_dataset)
+
+        tr = ray.data.read_parquet(
+            os.path.join(fixtures_t1, "transcripts.parquet"),
+            columns=["conv_id", "turn_idx", "text"])
+        # each run keeps its own random tenth of the (unique) turns
+        changing = tr.filter(lambda r: random.random() < 0.1)
+        want = _ds_spo(lexicon_dataset(fixtures_t1))
+        for mode in ("auto", "scoped"):
+            t = pa.concat_tables(list(
+                build_kg_from(changing, fixtures_t1, dedup_mode=mode)
+                .iter_batches(batch_format="pyarrow", batch_size=None)))
+            lex = t.filter(pc.not_equal(t["graph"], TRANSCRIPT_GRAPH))
+            assert _spo([lex]) == want
+
+    def test_scoped_runs_the_hash_pass_only_to_carry(self, fixtures_t1,
+                                                     monkeypatch):
+        """An explicit ``"scoped"`` build needs the owner turn only
+        when it can carry the lexicon graph: not with a corpus-scaled
+        lexicon table, and not from ``build_kg_from``."""
+        import ray.data
+
+        from tera_ray.pipelines import transcripts as T
+
+        want = _ds_spo(T.build_kg(fixtures_t1, dedup_mode="global"))
+        passes = []
+        real = T._turn_key_contract
+        monkeypatch.setattr(T, "_turn_key_contract",
+                            lambda tr: passes.append(1) or real(tr))
+        assert _ds_spo(T.build_kg(fixtures_t1, dedup_mode="scoped",
+                                  big_rows=1)) == want
+        tr = ray.data.read_parquet(
+            os.path.join(fixtures_t1, "transcripts.parquet"),
+            columns=["conv_id", "turn_idx", "text"])
+        assert _ds_spo(T.build_kg_from(tr, fixtures_t1,
+                                       dedup_mode="scoped")) == want
+        assert passes == []
+        T.build_kg(fixtures_t1, dedup_mode="scoped")
+        assert passes == [1]
+
+    def test_owner_is_the_sole_smallest_key_hash(self, fixtures_t1):
+        import numpy as np
+        import ray.data
+
+        from tera_ray.pipelines.transcripts import _turn_key_contract
+        from tera_ray.stages.base import hash_column
+
+        path = os.path.join(fixtures_t1, "transcripts.parquet")
+        full = pq.read_table(path)
+        h = hash_column(full, ("conv_id", "turn_idx")).to_numpy()
+        tr = ray.data.read_parquet(path)
+        assert _turn_key_contract(tr) == (True, h.min())
+        first = ray.data.from_arrow(full.slice(int(np.argmin(h)), 1))
+        # a repeated owner row is no owner: the build falls back to
+        # the union, never carrying the lexicon twice
+        assert _turn_key_contract(tr.union(first)) == (False, None)
 
 
 def test_build_kg_finishes_on_one_cpu(fixtures_t1):
