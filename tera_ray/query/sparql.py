@@ -99,7 +99,9 @@ so a reference user can run their existing query strings unchanged:
   (``ORDER BY DESC(STRLEN(?o))`` — hidden bind, dropped from output);
   bare nested groups ``{ { … } }`` inline; a query-level trailing
   ``VALUES`` joins the WHERE result after its BINDs and before the
-  solution modifiers (aggregation, DISTINCT, ORDER BY, LIMIT);
+  solution modifiers (aggregation, DISTINCT, ORDER BY, LIMIT); a
+  solution where a VALUES variable that is a BIND alias is unbound
+  fails loud (a compatibility join, see below);
   ``sameTerm`` = string
   equality on this plain-string store
 - ``{ SELECT … }`` subqueries — evaluated bottom-up to their own
@@ -2511,6 +2513,23 @@ def _eval_where(triples, ast: _Query, num_buckets: int,
                 f"VALUES variables not bound by the graph pattern: "
                 f"{unbound} (cross-product VALUES)")
         _unbound_guard([v for v in v_vars if v in maybe], "VALUES")
+        aliases = [v for v in v_vars if v in bind_aliases]
+        if aliases:
+            # a BIND alias is null where its expression errors (or reads
+            # an unbound input); SPARQL would join such a solution with
+            # every VALUES row, the equality join would drop it
+            def _bound(t: pa.Table, _a=tuple(aliases)) -> pa.Table:
+                unbound = [a for a in _a if t[a].null_count]
+                if unbound:
+                    raise SparqlUnsupported(
+                        f"VALUES joins on BIND alias(es) {unbound} that "
+                        "are unbound in some solutions — SPARQL "
+                        "compatibility-join semantics are not supported "
+                        "by the equality join; FILTER(BOUND(?alias)) "
+                        "before the VALUES if those rows should go")
+                return t
+
+            out = out.map_batches(_bound, batch_format="pyarrow")
         if (len(v_vars) == 1 and all(r[0] is not None for r in v_rows)
                 and len({r[0] for r in v_rows}) == len(v_rows)):
             vals = pa.array(sorted({r[0] for r in v_rows}), pa.string())
@@ -2555,6 +2574,7 @@ def _eval_where(triples, ast: _Query, num_buckets: int,
             out = out.union(p)
         return out
 
+    bind_aliases: set[str] = set()     # filled by the BIND pass below
     for v_vars, v_rows in ast.values:
         out = _apply_values(out, v_vars, v_rows)
 
@@ -2573,6 +2593,7 @@ def _eval_where(triples, ast: _Query, num_buckets: int,
 
         out = out.map_batches(_binder, batch_format="pyarrow")
         have = have + [alias]
+        bind_aliases.add(alias)
         if not pa.types.is_string(vtype):
             types[alias] = vtype
 

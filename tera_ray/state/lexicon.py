@@ -5,15 +5,20 @@ the transcript graft needs in-text mention detection against the same
 lexicons (latin/common/synonym species names from
 ``tera/DataAggregation.py:509-527,700-704`` and chemical aliases from
 ``:777-794``).  The lexicon is a token-span index — a hash trie keyed on
-the first token with full-span continuation lookups — built ONCE per
-linker actor in ``__init__`` (north rule: "dictionary/trie lexicons
-pinned per actor") and broadcast to workers via ``ray.put``.
+the first token with full-span continuation lookups — built ONCE on
+the driver and broadcast via ``ray.put``; the linker's plain tasks
+deserialize it once per worker process and keep it there
+(``pipelines.transcripts._resolve_lexicon``), with its lazy probe
+structures and fuzzy memo.
 
 Misspelled mentions (no exact span hit) fall back to a blocked fuzzy
 lookup: candidates bucketed by (first-2-chars, token-count), scored with
 a banded Levenshtein (max distance 2) — the distributed analog of the
 reference's fuzzywuzzy ``extractOne`` (``DataIntegration.py:263-272``),
-but bounded by blocking instead of O(N×M).
+but bounded by blocking instead of O(N×M).  The batch linker scores all
+of a batch's fallback probes together with :func:`levenshtein_pairs`; the
+row-wise reference path scores one span per :func:`levenshtein_batch`
+call.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import pyarrow as pa
 import pyarrow.compute
 
 _WORD_SPLIT = re.compile(r"\s+")
+# (span, candidate) pairs per levenshtein_pairs call in the batch linker
+_PAIR_CHUNK = 1 << 16
 _STRIP_PUNCT = ".,;:()[]{}\"'!?"
 # RE2 class equivalent to Python's Unicode \s (pc.split_pattern_regex
 # runs RE2, where \s is ASCII-only): C0 controls \t-\r and \x1c-\x1f,
@@ -157,6 +164,82 @@ def levenshtein_batch(a: str, mat: np.ndarray, lens: np.ndarray,
     return out
 
 
+def levenshtein_pairs(a: np.ndarray, a_lens: np.ndarray, b: np.ndarray,
+                      b_lens: np.ndarray, maxd: int = 2) -> np.ndarray:
+    """Banded Levenshtein distance of P (query, candidate) pairs at once.
+
+    ``a``/``b``: (P, La)/(P, Lb) uint32 codepoints, 0-padded, with true
+    lengths ``a_lens``/``b_lens``.  The DP keeps only the ``2·maxd + 1``
+    diagonals ``j = i + o`` (``|o| <= maxd``) of each query row ``i``.
+    Since ``j`` depends only on ``(i, o)``, each (row, offset) cell is
+    one vector op over all P pairs, with no per-pair Python: the band
+    is held offset-major, (band, P), so every such op runs over a
+    contiguous vector.  Cells are clipped to ``maxd + 1``.  Pairs run
+    longest query first, so row ``i`` covers a prefix of them and each
+    pair's answer is read at its own last row; the loop stops once no
+    live pair's band minimum is ``<= maxd`` (row minima never decrease
+    past row ``maxd``).  Returns int32 distances clipped to
+    ``maxd + 1``.
+    """
+    P = len(a_lens)
+    big = maxd + 1
+    out = np.full(P, big, np.int32)
+    if P == 0:
+        return out
+    W = 2 * maxd + 1
+    order = np.argsort(-np.asarray(a_lens, np.int64), kind="stable")
+    neg_al = -np.asarray(a_lens, np.int64)[order]      # ascending
+    la_max = int(-neg_al[0])
+    # candidate char j - 1 of cell (i, k), j = i + k - maxd, sits in row
+    # i + k of bt: maxd + 1 leading pad rows, one row per column
+    nb = min(b.shape[1], la_max + maxd)
+    bt = np.zeros((la_max + W, P), np.uint32)
+    bt[maxd + 1: maxd + 1 + nb] = b[order, :nb].T
+    at = np.ascontiguousarray(a[order, :la_max].T)
+    # band offset of each pair's answer (j = b_len) in its row i = a_len
+    k_end = np.asarray(b_lens, np.int64)[order] + neg_al + maxd
+    k = np.arange(W)[:, None]
+    band = np.broadcast_to(np.where(k >= maxd, k - maxd, big)
+                           .astype(np.int8), (W, P)).copy()
+    n = P
+    for i in range(la_max + 1):
+        if i:
+            prev = band[:, :n]
+            cur = prev + (bt[i: i + W, :n] != at[i - 1, :n])
+            # cells with j < 0 stay clipped at big from row 0 on, so
+            # the j == 0 cell reads i from the cell above: no boundary
+            # case
+            np.minimum(cur[:-1], prev[1:] + 1, out=cur[:-1])
+            for o in range(1, W):              # insertions, along the band
+                np.minimum(cur[o], cur[o - 1] + 1, out=cur[o])
+            np.minimum(cur, big, out=cur)
+            band = cur
+        # pairs [live, n) have a_len == i: read their answers
+        live = int(np.searchsorted(neg_al, -(i + 1), side="right"))
+        if live < n:
+            ke = k_end[live:n]
+            ok = (ke >= 0) & (ke < W)
+            fin = np.arange(live, n)[ok]
+            out[order[fin]] = band[ke[ok], fin]
+        n = live
+        if n == 0 or (i >= maxd and band[:, :n].min() > maxd):
+            break
+    return out
+
+
+def _gather_rows(codes: np.ndarray, offs: np.ndarray, lens: np.ndarray,
+                 rows: np.ndarray, width: int) -> np.ndarray:
+    """Strings ``rows`` of a flat codepoint buffer (string ``r`` is
+    ``codes[offs[r]: offs[r] + lens[r]]``) as a 0-padded
+    ``(len(rows), width)`` uint32 matrix for :func:`levenshtein_pairs`.
+    ``codes`` must end in at least ``width`` zeros past its last string;
+    each row is one strided window, so the gather makes no index
+    matrix."""
+    m = np.lib.stride_tricks.sliding_window_view(codes, width)[offs[rows]]
+    m[np.arange(width) >= lens[rows][:, None]] = 0
+    return m
+
+
 def _pack_spans(spans: list[str]):
     """Candidate list → (codepoint matrix, lengths) for levenshtein_batch."""
     lens = np.array([len(s) for s in spans], np.int64)
@@ -190,6 +273,14 @@ class Lexicon:
         self._fuzzy_pfx_low_set: pa.Array | None = None
         self._lower_spans: set[str] = set()
         self._lower_pfx: set[str] = set()
+        self._flat: tuple | None = None
+
+    def __getstate__(self):
+        # the flat candidate matrix is rebuilt lazily per process
+        # (_fuzzy_flat); pickling it would grow every broadcast
+        state = dict(self.__dict__)
+        state["_flat"] = None
+        return state
 
     def add(self, alias: str, uri: str, kind: str) -> None:
         toks = tokenize(normalize(alias))
@@ -208,7 +299,7 @@ class Lexicon:
 
     def _span_len_sets(self) -> dict[int, pa.Array]:
         """Per-token-count span value-sets for the vectorized n-gram
-        ``is_in`` probe (lazy; rebuilt per actor after broadcast)."""
+        ``is_in`` probe (lazy; rebuilt per process after broadcast)."""
         if self._len_sets is None:
             by_len: dict[int, list[str]] = defaultdict(list)
             for d in self.spans.values():
@@ -223,14 +314,18 @@ class Lexicon:
         (2-char prefix, token count); fixture misspellings mutate at
         char position >= 2 (``sources/synthetic.py``), so the prefix
         block retains recall — the blocking-recall assumption is tested
-        in tests/test_linker.py.
+        in tests/test_properties.py and tests/test_driver_contract.py.
 
-        Each block is packed once into a codepoint matrix so a query
-        span scores ALL block candidates in one vectorized
-        ``levenshtein_batch`` call instead of K Python DP runs — this is
-        the cold-path cost (distinct misspelled spans never hit the
-        memo, and with dump-scale lexicons a block holds hundreds of
-        candidates).
+        Each block is ``(items, mat, lens, low_mask)``: its candidates
+        sorted, packed once into a codepoint matrix with their lengths,
+        and the lower-origin mask.  The row-wise path scores one span
+        against a whole block per ``levenshtein_batch`` call.  The batch
+        linker (:meth:`match_flat`) instead gathers every (span,
+        candidate) pair of a batch from one flat matrix of all blocks,
+        built lazily once per process (:meth:`_fuzzy_flat`) and never
+        pickled, and scores them in one ``levenshtein_pairs`` call —
+        distinct misspelled spans rarely hit the memo, so this is the
+        cold-path cost.
 
         Case-aware gating (the recall path for misspelled COMMON
         names): an uppercase-starting text token may fuzzy-match any
@@ -259,6 +354,7 @@ class Lexicon:
         self._lower_pfx = lower_pfx
         self._fuzzy_pfx_set = None
         self._fuzzy_pfx_low_set = None
+        self._flat = None
 
     # --- matching ---
     def match_tokens(
@@ -297,7 +393,7 @@ class Lexicon:
         alias; lowercase tokens only lower-origin aliases (build_fuzzy).
         Transcripts repeat surface forms constantly (both real aliases
         and common capitalized words), so the banded-Levenshtein block
-        scan runs once per distinct (span, case) per actor, not per
+        scan runs once per distinct (span, case) per process, not per
         occurrence.
         """
         memo = self._fuzzy_memo
@@ -341,6 +437,149 @@ class Lexicon:
                 return (i, ln, res[0], res[1])
         return None
 
+    def _fuzzy_flat(self):
+        """Every fuzzy-block candidate in one flat codepoint buffer for
+        the batched fallback of :meth:`match_flat`: candidate ``row``
+        is ``codes[offs[row]: offs[row] + lens[row]]``, and block
+        ``key`` owns rows ``ranges[key]``, in its sorted candidate
+        order.  Unpadded, so one long alias widens nothing; ``codes``
+        ends in as many zeros as the longest candidate has codepoints,
+        for :func:`_gather_rows`.  Lazy, once per process (never
+        pickled, see ``__getstate__``).  Returns ``(codes, offs, lens,
+        low_mask, ents, ranges, pfx_by_len)``: ``ents[row] = (uri,
+        kind)``; ``pfx_by_len``: token count → the prefixes keying a
+        block of that count."""
+        if self._flat is None:
+            keys = sorted(self.fuzzy_blocks)
+            blks = [self.fuzzy_blocks[k] for k in keys]
+            bounds = np.cumsum([0] + [len(b[0]) for b in blks])
+            lens = np.concatenate([b[2] for b in blks])
+            width = int(lens.max())
+            codes = np.concatenate(
+                [bmat[np.arange(bmat.shape[1]) < blens[:, None]]
+                 for _, bmat, blens, _ in blks]
+                + [np.zeros(width, np.uint32)])
+            by_len: dict[int, list[str]] = defaultdict(list)
+            for pfx, ln in keys:
+                by_len[ln].append(pfx)
+            self._flat = (
+                codes,
+                np.cumsum(lens) - lens,
+                lens,
+                np.concatenate([b[3] for b in blks]),
+                [(uri, kind) for b in blks for _, uri, kind in b[0]],
+                {k: (lo, hi) for k, lo, hi in zip(
+                    keys, bounds[:-1].tolist(), bounds[1:].tolist())},
+                {ln: pa.array(v, pa.string()) for ln, v in by_len.items()},
+            )
+        return self._flat
+
+    def _fuzzy_probe(self, pos: np.ndarray, upper: np.ndarray, pfx: pa.Array,
+                     room: np.ndarray, ngrams: dict[int, pa.Array]):
+        """Blocked-fuzzy hits for a batch's fallback positions ``pos``
+        (token starts with no exact hit): ``{position: (n_tokens, uri,
+        kind)}``, the longest hitting span per position, as
+        :meth:`_fuzzy_at` picks it.  Every token count whose (prefix,
+        count) keys a block and that fits the ``room`` left in the
+        document is a probe; its span is read from ``ngrams`` (the exact
+        probe's per-count n-gram keys) and Python touches only each
+        count's distinct (span, case) keys: the memo answers repeats and
+        :meth:`_fuzzy_score` scores the rest at once."""
+        memo = self._fuzzy_memo
+        *_, pfx_by_len = self._fuzzy_flat()
+        per_ln = []                                 # (ln, probes, key id, keys)
+        todo: dict[tuple[str, bool], int] = {}      # memo misses → ln
+        for ln, pset in sorted(pfx_by_len.items()):
+            sel = np.flatnonzero((room >= ln) & pa.compute.is_in(
+                pfx, value_set=pset).to_numpy(zero_copy_only=False))
+            if not sel.size:
+                continue
+            enc = ngrams[ln].take(pa.array(pos[sel])).dictionary_encode()
+            uniq, kid = np.unique(
+                enc.indices.to_numpy().astype(np.int64) * 2 + upper[sel],
+                return_inverse=True)
+            spans = enc.dictionary.to_pylist()
+            keys = [(spans[u >> 1], bool(u & 1)) for u in uniq.tolist()]
+            for key in keys:
+                if key not in memo:
+                    todo.setdefault(key, ln)
+            per_ln.append((ln, sel, kid, keys))
+        fresh = self._fuzzy_score(todo) if todo else {}
+        ents: list[tuple[str, str]] = []            # distinct hits
+        hit_ln = np.zeros(len(pos), np.int64)       # 0: no fuzzy hit
+        hit_ent = np.zeros(len(pos), np.int64)
+        for ln, sel, kid, keys in per_ln:           # ascending ln: the
+            code = np.full(len(keys), -1, np.int64)     # longest hit wins
+            for u, key in enumerate(keys):
+                res = fresh[key] if key in fresh else memo[key]
+                if res is not None:
+                    code[u] = len(ents)
+                    ents.append(res)
+            c = code[kid]
+            found = c >= 0
+            hit_ln[sel[found]] = ln
+            hit_ent[sel[found]] = c[found]
+        got = np.flatnonzero(hit_ln)
+        return {p: (ln, *ents[e]) for p, ln, e in zip(
+            pos[got].tolist(), hit_ln[got].tolist(), hit_ent[got].tolist())}
+
+    def _fuzzy_score(self, todo: dict[tuple[str, bool], int]) -> dict:
+        """Answer memo-missing fuzzy probes ``{(span, upper): n_tokens}``
+        with one :func:`levenshtein_pairs` call (per ``_PAIR_CHUNK``
+        pairs) over every (span, block candidate) pair that passes the
+        length (``<= 2`` apart) and case gates of :meth:`_fuzzy_span`;
+        each span's winner is the smallest (distance, candidate span,
+        uri), which is the smallest (distance, row) since a block's rows
+        are sorted.  Fills the memo and returns ``{(span, upper): (uri,
+        kind) | None}``."""
+        codes, offs, lens, low_mask, ents, ranges, _ = self._fuzzy_flat()
+        keys = list(todo)
+        spans = [s for s, _ in keys]
+        nq = len(keys)
+        qlen = np.fromiter(map(len, spans), np.int64, nq)
+        lo, hi = np.array([ranges[(s[:2], ln)]
+                           for s, ln in zip(spans, todo.values())]).T
+        cnt = hi - lo
+        qi = np.repeat(np.arange(nq), cnt)
+        ci = np.arange(int(cnt.sum())) + np.repeat(lo - (np.cumsum(cnt) - cnt),
+                                                   cnt)
+        up = np.fromiter((u for _, u in keys), bool, nq)
+        ok = (np.abs(lens[ci] - qlen[qi]) <= 2) & (up[qi] | low_mask[ci])
+        qi, ci = qi[ok], ci[ok]
+        out = dict.fromkeys(keys)
+        if qi.size:
+            # only paired spans and candidates set the widths: a paired
+            # span is at most 2 longer than a candidate, so no long
+            # unmatchable token widens the matrices
+            lq = int(qlen[qi].max())
+            qcodes = np.concatenate([
+                np.frombuffer("".join(spans).encode("utf-32-le"), np.uint32),
+                np.zeros(lq, np.uint32)])
+            qoffs = np.cumsum(qlen) - qlen
+            lc = int(lens[ci].max())
+            # one kernel call per _PAIR_CHUNK pairs bounds the gathered
+            # matrices; a batch rarely holds more than one chunk
+            d = np.concatenate([
+                levenshtein_pairs(_gather_rows(qcodes, qoffs, qlen, q, lq),
+                                  qlen[q],
+                                  _gather_rows(codes, offs, lens, c, lc),
+                                  lens[c], 2)
+                for q, c in ((qi[k: k + _PAIR_CHUNK], ci[k: k + _PAIR_CHUNK])
+                             for k in range(0, len(qi), _PAIR_CHUNK))])
+            win = d <= 2
+            qi, ci, d = qi[win], ci[win], d[win]
+            o = np.lexsort((ci, d, qi))
+            qi, ci = qi[o], ci[o]
+            first = np.flatnonzero(np.diff(qi, prepend=-1))
+            for q, c in zip(qi[first].tolist(), ci[first].tolist()):
+                out[keys[q]] = ents[c]
+        memo = self._fuzzy_memo
+        for key, res in out.items():
+            if len(memo) >= 1_000_000:
+                break
+            memo[key] = res
+        return out
+
     def match_flat(self, orig: pa.Array, low: pa.Array, starts: np.ndarray,
                    fuzzy: bool = True):
         """Batch equivalent of per-document :meth:`match_tokens` over the
@@ -352,11 +591,20 @@ class Lexicon:
         probed with ``is_in`` against the per-length span set — the
         whole batch's phrase lookups run as C++ kernels, and Python
         touches only the actual hit positions (longest ``ln`` wins,
-        doc-boundary-masked).  The greedy non-overlap resolution and the
-        blocked-fuzzy fallback (uppercase-start + length≥4 misses) then
-        scan just ``hits ∪ fuzzy-candidates``.  Returns ``(doc_ids,
-        uris, kinds)`` in per-document scan order — the same hit
-        sequence ``match_tokens`` yields row-wise (asserted in
+        doc-boundary-masked).
+
+        The blocked-fuzzy fallback runs once per batch, before the
+        greedy scan: every position with no exact hit that passes the
+        case, length≥4 and prefix gates is probed at every token count
+        whose block exists (:meth:`_fuzzy_probe`), the memo answers
+        repeated spans, and the rest are scored in ONE
+        ``levenshtein_pairs`` call (:meth:`_fuzzy_score`).  Probes at
+        positions the non-overlap rule later skips, and shorter spans
+        behind a longer hit, are speculative: they fill the memo and
+        are never emitted.  The greedy non-overlap scan then only reads
+        the exact and fuzzy hits.  Returns ``(doc_ids, uris, kinds)`` in
+        per-document scan order — the same hit sequence
+        ``match_tokens`` yields row-wise (asserted in
         tests/test_transcripts.py).
         """
         doc_ids: list[int] = []
@@ -372,6 +620,8 @@ class Lexicon:
         tok_doc = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         # exact n-gram probe, ascending ln so the longest span wins
         best: dict[int, tuple[int, str, str]] = {}
+        # ln → span key at each start, kept for the fuzzy probe
+        ngrams: dict[int, pa.Array] = {}
         for ln, sset in sorted(self._span_len_sets().items()):
             if ln > n_tok:
                 continue
@@ -386,6 +636,8 @@ class Lexicon:
                     zero_copy_only=False)
                 # doc-boundary mask: all ln tokens in the same doc
                 mask &= tok_doc[: n_tok - ln + 1] == tok_doc[ln - 1:]
+            if fuzzy:
+                ngrams[ln] = keys
             hp = np.flatnonzero(mask)
             if hp.size == 0:
                 continue
@@ -424,40 +676,30 @@ class Lexicon:
             ).to_numpy(zero_copy_only=False)
                 if len(self._fuzzy_pfx_low_set) else None)
             fz_np = up_np if lo_np is None else (up_np | lo_np)
-            cand = np.union1d(np.fromiter(best, np.int64, len(best)),
-                              np.flatnonzero(fz_np))
-        else:
-            fz_np = up_np = None
-            cand = np.sort(np.fromiter(best, np.int64, len(best)))
-        if cand.size == 0:
+            pos = np.setdiff1d(np.flatnonzero(fz_np),
+                               np.fromiter(best, np.int64, len(best)),
+                               assume_unique=True)
+            if pos.size:
+                # speculative: every probe is scored, including positions
+                # the non-overlap scan below skips; those only fill the
+                # memo and are never emitted
+                best.update(self._fuzzy_probe(
+                    pos, up_np[pos], pfx2.take(pa.array(pos)),
+                    starts[tok_doc[pos] + 1] - pos, ngrams))
+        if not best:
             return doc_ids, uris, kinds
-        if low_np is None:
-            low_np = low.to_numpy(zero_copy_only=False)
-        max_len = self.max_len
+        cand = np.sort(np.fromiter(best, np.int64, len(best)))
         cur_doc, next_allowed = -1, -1
         for p, dc in zip(cand.tolist(), tok_doc[cand].tolist()):
             if dc != cur_doc:
                 cur_doc, next_allowed = dc, -1
             if p < next_allowed:
                 continue
-            hit = best.get(p)
-            if hit is None and fz_np is not None and fz_np[p]:
-                end = int(starts[dc + 1])
-                pfx = low_np[p][:2]
-                upper = bool(up_np[p])
-                for ln in range(min(max_len, end - p), 0, -1):
-                    if (pfx, ln) not in self.fuzzy_blocks:
-                        continue
-                    res = self._fuzzy_span(" ".join(low_np[p: p + ln]),
-                                           ln, upper)
-                    if res is not None:
-                        hit = (ln, res[0], res[1])
-                        break
-            if hit is not None:
-                doc_ids.append(dc)
-                uris.append(hit[1])
-                kinds.append(hit[2])
-                next_allowed = p + hit[0]
+            ln, uri, kind = best[p]
+            doc_ids.append(dc)
+            uris.append(uri)
+            kinds.append(kind)
+            next_allowed = p + ln
         return doc_ids, uris, kinds
 
 

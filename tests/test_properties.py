@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tera_ray.dedup.minhash import shingle_hashes
 from tera_ray.sketch.hll import _registers_batch
 from tera_ray.stages.base import dedup_table, hash_column
-from tera_ray.state.lexicon import _pack_spans, levenshtein, levenshtein_batch
+from tera_ray.state.lexicon import (_pack_spans, levenshtein, levenshtein_batch,
+                                    levenshtein_pairs)
 
 _words = st.text(alphabet="abcdef gh", min_size=0, max_size=30)
 _keys = st.text(alphabet="abc", min_size=0, max_size=4)
@@ -29,6 +30,39 @@ def test_levenshtein_batch_matches_scalar(query, cands):
         want = levenshtein(query, c, 2)
         # both clamp above maxd=2; compare the clamped values
         assert min(int(g), 3) == min(want, 3), (query, c, g, want)
+
+
+# ASCII, Latin-1, CJK and a non-BMP codepoint (one utf-32 unit each)
+_lev_text = st.text(alphabet="abcdé中\U0001F600", min_size=0, max_size=10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_lev_text, _lev_text), min_size=1, max_size=24),
+       st.integers(min_value=1, max_value=3))
+def test_levenshtein_pairs_matches_scalar(pairs, maxd):
+    """The pair kernel scores every (query, candidate) pair at once; each
+    distance must equal the scalar DP's, clipped at ``maxd + 1`` — with
+    empty strings, length gaps above ``maxd`` and mixed query lengths
+    (pairs finish at different DP rows) in one batch."""
+    a, a_lens = _pack_spans([q for q, _ in pairs])
+    b, b_lens = _pack_spans([c for _, c in pairs])
+    got = levenshtein_pairs(a, a_lens, b, b_lens, maxd)
+    want = [min(levenshtein(q, c, maxd), maxd + 1) for q, c in pairs]
+    assert got.tolist() == want, (pairs, maxd)
+
+
+def test_levenshtein_pairs_edges():
+    assert levenshtein_pairs(np.zeros((0, 1), np.uint32), np.zeros(0, int),
+                             np.zeros((0, 1), np.uint32), np.zeros(0, int),
+                             2).tolist() == []
+    pairs = [("", ""), ("", "ab"), ("", "abc"), ("abcdef", "ab"),
+             ("kitten", "sitting"), ("\U0001F600b", "b\U0001F600")]
+    a, a_lens = _pack_spans([q for q, _ in pairs])
+    b, b_lens = _pack_spans([c for _, c in pairs])
+    assert levenshtein_pairs(a, a_lens, b, b_lens, 2).tolist() == \
+        [0, 2, 3, 3, 3, 2]
+    assert levenshtein_pairs(a, a_lens, b, b_lens, 3).tolist() == \
+        [0, 2, 3, 4, 3, 2]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1186,6 +1186,30 @@ class TestSparqlSelect:
                 GROUP BY ?s ORDER BY DESC(STRLEN(?s))
             """)
 
+    def test_trailing_values_over_nullable_bind_alias_fails_loud(self):
+        """A BIND alias is null where its expression errors; SPARQL
+        would join that solution with every VALUES row, the equality
+        join would drop it — so such a row fails loud (surfacing through
+        the Ray task that met it), while bound rows keep the exact
+        join."""
+        st = ray.data.from_arrow(pa.table({
+            "subj": pa.array([NS + "a", NS + "b", NS + "c"]),
+            "pred": pa.array([NS + "p"] * 3),
+            "obj": pa.array(["30", "7", "n/a"]),
+        }))
+        q = PFX + """
+            SELECT ?s ?h WHERE { ?s ex:p ?v %s BIND(?v * 24 AS ?h) }
+            VALUES ?h { 720 %s }
+        """
+        for vals in ("", "168"):
+            with pytest.raises(Exception,
+                               match="unbound in some solutions"):
+                rows(sparql_select(st, q % ("", vals)), ["s", "h"])
+        # the unbound row filtered out first: the exact join stands
+        got = rows(sparql_select(st, q % ('FILTER(?v != "n/a")', "")),
+                   ["s", "h"])
+        assert got == [(NS + "a", 720.0)]
+
     def test_union_padded_var_never_a_join_key(self):
         """A var null-padded by a UNION branch that does not bind it is
         possibly unbound — an OPTIONAL (or later UNION) keying on it

@@ -156,45 +156,193 @@ class TestVectorizedLinkerEquivalence:
             assert toks[starts[i]:starts[i + 1]] == ref, (i, text)
         assert low.to_pylist() == [t.lower() for t in toks]
 
+    # each side gets its own lexicon: a shared one would let the
+    # row-wise side read the fast side's fuzzy answers from the memo
+
     def test_same_triples_as_rowwise(self):
         from tera_ray.pipelines.transcripts import LinkerStage
 
-        lex = make_lex()
         batch = self._batch()
-        fast = LinkerStage(lex, ns="ns/")(batch)
-        slow = LinkerStage(lex, ns="ns/", rowwise=True)(batch)
+        fast = LinkerStage(make_lex(), ns="ns/")(batch)
+        slow = LinkerStage(make_lex(), ns="ns/", rowwise=True)(batch)
         assert self._rows(fast) == self._rows(slow)
         assert fast.num_rows > batch.num_rows  # non-trivial emission
 
     def test_same_triples_no_fuzzy_and_empty(self):
         from tera_ray.pipelines.transcripts import LinkerStage
 
-        lex = make_lex()
         batch = self._batch()
-        fast = LinkerStage(lex, ns="ns/", fuzzy=False)(batch)
-        slow = LinkerStage(lex, ns="ns/", fuzzy=False, rowwise=True)(batch)
+        fast = LinkerStage(make_lex(), ns="ns/", fuzzy=False)(batch)
+        slow = LinkerStage(make_lex(), ns="ns/", fuzzy=False,
+                           rowwise=True)(batch)
         assert self._rows(fast) == self._rows(slow)
         empty = batch.slice(0, 0)
-        assert LinkerStage(lex, ns="ns/")(empty).num_rows == \
-            LinkerStage(lex, ns="ns/", rowwise=True)(empty).num_rows == 0
+        assert LinkerStage(make_lex(), ns="ns/")(empty).num_rows == \
+            LinkerStage(make_lex(), ns="ns/", rowwise=True)(empty).num_rows == 0
 
-    def test_same_triples_on_fixture(self, fixtures_t1):
-        from tera_ray.pipelines.transcripts import LinkerStage
-
-        lex = lexicon_from_tables(
-            species=pq.read_table(os.path.join(fixtures_t1, "species.parquet")),
+    @staticmethod
+    def _fixture_lex(d):
+        return lexicon_from_tables(
+            species=pq.read_table(os.path.join(d, "species.parquet")),
             synonyms=pq.read_table(
-                os.path.join(fixtures_t1, "species_synonyms.parquet")),
-            chemicals=pq.read_table(
-                os.path.join(fixtures_t1, "chemicals.parquet")),
+                os.path.join(d, "species_synonyms.parquet")),
+            chemicals=pq.read_table(os.path.join(d, "chemicals.parquet")),
             endpoints=["LC50", "EC50"], effects=["MOR", "GRO"],
         )
+
+    def _fixture_equivalence(self, d):
+        from tera_ray.pipelines.transcripts import LinkerStage
+
         batch = pq.read_table(
-            os.path.join(fixtures_t1, "transcripts.parquet"),
+            os.path.join(d, "transcripts.parquet"),
             columns=["conv_id", "turn_idx", "text"]).slice(0, 2000)
-        fast = LinkerStage(lex)(batch)
-        slow = LinkerStage(lex, rowwise=True)(batch)
+        fast = LinkerStage(self._fixture_lex(d))(batch)
+        slow = LinkerStage(self._fixture_lex(d), rowwise=True)(batch)
         assert self._rows(fast) == self._rows(slow)
+        return batch, fast
+
+    def test_same_triples_on_fixture(self, fixtures_t1):
+        self._fixture_equivalence(fixtures_t1)
+
+    def test_same_triples_on_misspelling_heavy_fixture(self):
+        """The ``hard`` mix misspells half the mentions, so much of the
+        batch links only through the batched fuzzy fallback."""
+        from tera_ray.pipelines.transcripts import LinkerStage
+        from tera_ray.sources.synthetic import fixture_dir
+
+        d = fixture_dir("t1", variant="hard")
+        batch, fast = self._fixture_equivalence(d)
+        exact = LinkerStage(self._fixture_lex(d), fuzzy=False)(batch)
+        assert fast.num_rows > exact.num_rows
+
+
+def make_overlap_lex():
+    """make_lex plus a 1-token alias sharing the first token of a
+    2-token one, a 2-token alias starting inside another alias, and an
+    uppercase-origin alias in the block of a lowercase-origin one."""
+    lex = make_lex()
+    lex.add("Danio", "tax/3", "species")
+    lex.add("Magna carta", "cas/7", "chemical")
+    lex.add("Zebrafinch", "tax/4", "species")
+    lex.build_fuzzy()
+    return lex
+
+
+class TestBatchedFuzzy:
+    """``match_flat`` scores every fuzzy probe of a batch up front,
+    including probes the non-overlap scan later skips; only the scan's
+    choices may be emitted, exactly as the row-wise ``match_tokens``
+    picks them."""
+
+    CASES = [
+        # misspelled 2-token alias and 1-token alias at one start:
+        # the longest span wins
+        ("Daino rerio in the tank", ["tax/1"]),
+        ("Daino alone", ["tax/3"]),
+        # two overlapping fuzzy spans: the first claims "Magna"
+        ("Dapnhia Magna cartta", ["tax/2"]),
+        # a non-BMP character inside a fuzzy span
+        ("Da\U0001F600nio rerio", ["tax/1"]),
+        # the block exists but no candidate is within 2 in length
+        ("Daxxxxxxxxxxxxxxxxx rerio", []),
+        # no fuzzy probe at all
+        ("no relevant findings here", []),
+        # lowercase and capitalized probes of one span (memoized apart)
+        ("zebrafihs and Zebrafihs", ["tax/1", "tax/1"]),
+        # a lowercase probe scores only lowercase-origin aliases: both
+        # aliases are 2 edits away, and "zebrafinch" would win the tie
+        ("zebrafinhc and Zebrafinhc", ["tax/1", "tax/4"]),
+        # a fuzzy span never runs into the next document
+        ("Exposure to Daino", ["tax/3"]),
+        ("rerio was seen", []),
+    ]
+
+    @staticmethod
+    def _flat(lex, texts):
+        from tera_ray.state.lexicon import flat_token_arrays
+
+        doc_ids, uris, _ = lex.match_flat(
+            *flat_token_arrays(pa.array(texts, pa.string())))
+        return list(zip(doc_ids, uris))
+
+    def test_hits_match_rowwise(self):
+        texts = [t for t, _ in self.CASES]
+        ref_lex = make_overlap_lex()
+        ref = [(d, uri) for d, t in enumerate(texts)
+               for _, _, uri, _ in ref_lex.match_tokens(tokenize(t))]
+        assert self._flat(make_overlap_lex(), texts) == ref
+        assert ref == [(d, uri) for d, (_, uris) in enumerate(self.CASES)
+                       for uri in uris]
+
+    def test_hits_match_rowwise_in_small_chunks(self, monkeypatch):
+        # several levenshtein_pairs calls per batch, each answer read
+        # back from its own chunk
+        from tera_ray.state import lexicon as lx
+
+        calls = []
+        kernel = lx.levenshtein_pairs
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(lx, "_PAIR_CHUNK", 3)
+        monkeypatch.setattr(lx, "levenshtein_pairs", counted)
+        self.test_hits_match_rowwise()
+        assert len(calls) > 2 and max(calls) == 3
+
+    def test_long_unmatched_span_does_not_widen_the_pairs(self, monkeypatch):
+        # a probe with no length-feasible candidate scores no pair, so
+        # its length sets no matrix width
+        from tera_ray.state import lexicon as lx
+
+        widths = []
+        kernel = lx.levenshtein_pairs
+
+        def seen(a, a_lens, b, b_lens, maxd):
+            widths.append((a.shape[1], b.shape[1]))
+            return kernel(a, a_lens, b, b_lens, maxd)
+
+        monkeypatch.setattr(lx, "levenshtein_pairs", seen)
+        lex = make_overlap_lex()
+        text = "Da" + "x" * 5000 + " and Dapnhia magna"
+        assert self._flat(lex, [text]) == [(0, "tax/2")]
+        longest = max(len(s) for d in lex.spans.values() for s in d)
+        assert widths and max(max(w) for w in widths) <= longest + 2
+
+    def test_each_case_alone(self):
+        # one lexicon throughout: later batches mix memo hits with
+        # freshly scored probes
+        lex = make_overlap_lex()
+        for text, uris in self.CASES + self.CASES[::-1]:
+            assert self._flat(lex, [text]) == [(0, uri) for uri in uris], text
+
+    def test_speculative_probes_fill_memo_but_never_emit(self):
+        lex = make_overlap_lex()
+        assert self._flat(lex, ["Dapnhia Magna cartta"]) == [(0, "tax/2")]
+        # the skipped position's probe was scored and memoized
+        assert lex._fuzzy_memo[("magna cartta", True)] == ("cas/7", "chemical")
+        lex = make_overlap_lex()
+        assert self._flat(lex, ["Daino rerio"]) == [(0, "tax/1")]
+        assert lex._fuzzy_memo[("daino", True)] == ("tax/3", "species")
+
+    def test_no_lowercase_origin_alias(self):
+        lex = Lexicon()
+        lex.add("Danio rerio", "tax/1", "species")
+        lex.add("Danio", "tax/3", "species")
+        lex.build_fuzzy()
+        assert self._flat(lex, ["Danio rerrio and Daino rerio daino"]) == \
+            [(0, "tax/3"), (0, "tax/1")]
+
+    def test_lexicon_pickles_without_flat_matrix(self):
+        import pickle
+
+        lex = make_overlap_lex()
+        self._flat(lex, ["Dapnhia magna"])
+        assert lex._flat is not None
+        back = pickle.loads(pickle.dumps(lex))
+        assert back._flat is None
+        assert self._flat(back, ["Dapnhia magna"]) == [(0, "tax/2")]
 
 
 @pytest.mark.usefixtures("ray_session")
