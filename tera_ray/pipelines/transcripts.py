@@ -13,12 +13,17 @@ Stage layout (all streaming, no driver materialization):
 - mention linking is a PURE ``map_batches`` over raw turn rows — no
   shuffle; plain tasks on warm workers, each worker deserializing the
   ``ray.put`` lexicon once per build (:func:`_resolve_lexicon`).
+- :func:`build_kg` resolves the input's Parquet files once on the
+  driver and reads exactly those, in a block count derived from the
+  footers' row count (:func:`read_transcripts`, :func:`read_blocks`).
+  Its unique-turn contract check streams the same files' two key
+  columns on the driver, so it starts no Ray Data execution.
 - on :func:`build_kg`'s scoped dedup route the deduplicated lexicon
   graph rides inside the linker: the one batch holding the *owner*
   turn (the smallest turn-key hash) appends it, so
-  ``build_kg(...).write_parquet`` runs as one fused
-  ``MapBatches(LinkerStage)->Write`` operator with no union in front
-  of the sink (:func:`_build`).
+  ``build_kg(...).write_parquet`` is one Ray Data execution,
+  ``ReadParquet`` → one fused ``MapBatches(LinkerStage)->Write``
+  operator, with no union in front of the sink (:func:`_build`).
 - turn-order facts (``precededBy``) are computed per-row from the dense
   ``turn_idx`` — order-faithful without a shuffle.
 - conversation reconstruction (SURVEY K4) groups by ``conv_id`` and
@@ -34,6 +39,7 @@ import re
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 
 import ray
 
@@ -49,6 +55,7 @@ from ..state.lexicon import Lexicon, tokenize
 from ..units import unit_parser
 
 TRANSCRIPT_GRAPH = "transcripts"
+_TURN_KEYS = ("conv_id", "turn_idx")
 _NUM_RE = re.compile(r"^\d+(\.\d+)?([eE]-?\d+)?$")
 
 
@@ -312,7 +319,7 @@ class LinkerStage:
             out = dedup_table(out, self.combine_keys)
         if self.carry is not None:
             owner, table_ref = self.carry
-            if (hash_column(batch, ("conv_id", "turn_idx"))
+            if (hash_column(batch, _TURN_KEYS)
                     .to_numpy() == owner).any():
                 out = pa.concat_tables([out, ray.get(table_ref)],
                                        promote_options="none")
@@ -634,21 +641,25 @@ def turn_keys_unique(transcripts, driver_limit: int = 50_000_000) -> bool:
             else unique)
 
 
-def _turn_key_contract(transcripts, driver_limit: int = 50_000_000):
+def _turn_key_contract(source, driver_limit: int = 50_000_000):
     """One hash pass over the input's turn keys: ``(unique, owner)``.
 
-    ``unique`` is :func:`turn_keys_unique`'s answer.  ``owner`` is the
-    smallest key hash when exactly one row has it, else ``None`` (an
-    empty input or a tie).  The owner row's batch is the one that
-    carries the lexicon graph on the scoped route.  Above
-    ``driver_limit`` rows the hashes never reach the driver: both are
-    ``None``."""
-    allh = _turn_key_hashes(transcripts, driver_limit)
+    ``source`` is a Ray Dataset (:func:`_turn_key_hashes`, a Ray Data
+    execution of its own) or the input's ``pyarrow.dataset`` over its
+    Parquet files (:func:`_parquet_turn_key_hashes`, read on the driver
+    with no Ray Data execution).  ``unique`` is :func:`turn_keys_unique`'s
+    answer.  ``owner`` is the smallest key hash when the keys are
+    unique, else ``None`` (an empty input or a repeated key).  The
+    owner row's batch is the one that carries the lexicon graph on the
+    scoped route.  Above ``driver_limit`` rows the hashes never reach the
+    driver: both are ``None``."""
+    allh = (_parquet_turn_key_hashes(source, driver_limit)
+            if isinstance(source, pads.Dataset)
+            else _turn_key_hashes(source, driver_limit))
     if allh is None:
         return None, None
     unique = not bool((allh[1:] == allh[:-1]).any())
-    sole = len(allh) == 1 or (len(allh) > 1 and allh[1] != allh[0])
-    return unique, (allh[0] if sole else None)
+    return unique, (allh[0] if unique and len(allh) else None)
 
 
 def _turn_keys_unique_distributed(transcripts) -> bool:
@@ -656,9 +667,9 @@ def _turn_keys_unique_distributed(transcripts) -> bool:
     from ..stages.base import hash_column
 
     def h(t: pa.Table) -> pa.Table:
-        return pa.table({"__h": hash_column(t, ("conv_id", "turn_idx"))})
+        return pa.table({"__h": hash_column(t, _TURN_KEYS)})
 
-    hs = transcripts.select_columns(["conv_id", "turn_idx"]).map_batches(
+    hs = transcripts.select_columns(list(_TURN_KEYS)).map_batches(
         h, batch_format="pyarrow")
     # driver-unsafe scale: distributed discovery over the hash column
     from ..stages.base import _auto_buckets, bucketed_map_groups
@@ -698,15 +709,28 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
     triples and static axioms, exact-deduped (SURVEY A1).  Returns a
     lazy Dataset.
 
+    The input's Parquet files are resolved once on the driver
+    (:func:`read_transcripts`), and the read takes
+    :func:`read_blocks` blocks for their footer row count: one block
+    per CPU up to ``_SMALL_READ_ROWS`` rows, else ``max(8, 4 * ncpu)``.
+    On the 20k-turn ``kgbench`` input at 4 CPUs the read fell from
+    0.43-0.46 s at 16 blocks to 0.12 s at 4; at 2M turns and 8 CPUs the
+    build keeps the 32 blocks measured 44.3 s → 34.1 s against 16.  An
+    explicit ``override_num_blocks`` wins.
+
     ``dedup_mode``:
 
     - ``"auto"`` (default, the judged path) — run the
-      :func:`turn_keys_unique` input-contract check (one column-pruned
-      pass over the input, 8 B/row leaves the workers) and take
+      :func:`turn_keys_unique` input-contract check and take
       ``"scoped"`` when the input honors the unique-turn contract
       (``input_hint``: every ``(conv_id, turn_idx)`` appears once),
       else ``"hash"``.  The check can never wrongly approve the scoped
-      pushdown — hash collisions only force the safe fallback.
+      pushdown — hash collisions only force the safe fallback.  It
+      streams the two key columns of the same files on the driver and
+      keeps only their u64 hashes (8 B/row), so the whole build is one
+      Ray Data execution, read → ``MapBatches(LinkerStage)->Write``.
+      Above ``driver_discover_limit`` rows (from the footers) it runs
+      as a distributed Ray Data pass instead.
     - ``"hash"`` — exact dedup for ARBITRARY inputs where only
       8-byte row hashes cross the exchange
       (:func:`~tera_ray.stages.base.dedup_triples_hash`): combiner per
@@ -742,23 +766,65 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
     """
     import os
 
-    if override_num_blocks is None:
-        ncpu = int(ray.cluster_resources().get("CPU", 4))
-        # 4 tasks per CPU: the linker drains blocks in waves, and at
-        # 2/CPU the last wave leaves a third of the CPUs idle
-        # (measured 44.3s → 34.1s at 8 CPUs on the 2M-turn build)
-        override_num_blocks = max(8, 4 * ncpu)
-    # Read-time column pruning (SURVEY §7.4): the linker consumes only
-    # (conv_id, turn_idx, text); role/tool/ts never leave storage.  At
-    # the input_hint schema this drops ~a third of the scanned bytes.
-    transcripts = ray.data.read_parquet(
-        os.path.join(data_dir, "transcripts.parquet"),
-        columns=["conv_id", "turn_idx", "text"],
-        override_num_blocks=override_num_blocks,
-    )
+    transcripts, src = read_transcripts(
+        os.path.join(data_dir, "transcripts.parquet"), override_num_blocks)
     return _build(transcripts, data_dir, fuzzy, dedup, batch_size,
-                  dedup_mode, driver_discover_limit, big_rows,
-                  own_read=True)
+                  dedup_mode, driver_discover_limit, big_rows, src=src)
+
+
+# Inputs of up to this many rows read one block per CPU (read_blocks).
+# Measured at 4 CPUs, in-process build_kg(...).write_parquet medians, 4
+# blocks against 16: 20k turns 0.64 against 0.92 s (7 runs), 100k turns
+# 2.08 against 2.43 s (5 runs); at 200k turns (4.12 against 4.04 s, 5
+# runs) and 500k turns (7.78 against 8.25 s, 3 runs, spread up to
+# 0.7 s) the count made no difference within the spread.
+_SMALL_READ_ROWS = 100_000
+
+
+def read_blocks(rows: int, ncpu: int) -> int:
+    """Block count for a read of ``rows`` rows on ``ncpu`` CPUs: one
+    block per CPU up to ``_SMALL_READ_ROWS`` rows, else
+    ``max(8, 4 * ncpu)``.
+
+    On a small input each extra block is a Ray Data fixed cost: on the
+    20k-turn ``kgbench`` input at 4 CPUs the read's split into 16
+    blocks took 0.43-0.46 s of elapsed time, against 0.12 s for 4.
+    Larger inputs keep 4 blocks per CPU: the linker drains blocks in
+    waves, and at 2 per CPU the last wave left a third of the CPUs idle
+    on the 2M-turn build at 8 CPUs (44.3 s at 16 blocks, 34.1 s at 32).
+    The one-per-CPU gain was measured at 4 CPUs only, so every input
+    above ``_SMALL_READ_ROWS`` rows keeps the 4-per-CPU count on any
+    CPU count."""
+    ncpu = max(1, ncpu)
+    return ncpu if rows <= _SMALL_READ_ROWS else max(8, 4 * ncpu)
+
+
+def read_transcripts(path, override_num_blocks: int | None = None):
+    """Open a transcript read: ``(dataset, src)``.
+
+    The input's Parquet files (``path``: a file, a directory of shard
+    files, or a list of either) are resolved once on the driver into
+    ``src``, a ``pyarrow.dataset`` over exactly the files the Ray read
+    gets, so a driver-side pass over ``src`` sees the same rows as the
+    read.  The read takes :func:`read_blocks` blocks for the footers'
+    row count unless ``override_num_blocks`` is given.  Read-time
+    column pruning (SURVEY §7.4): the linker consumes only ``(conv_id,
+    turn_idx, text)``; role/tool/ts never leave storage.  At the
+    input_hint schema this drops about a third of the scanned bytes."""
+    paths = [path] if isinstance(path, str) else list(path)
+    files, fs = [], None
+    for p in paths:
+        d = pads.dataset(p, format="parquet")
+        files += d.files
+        fs = d.filesystem
+    src = pads.dataset(files, format="parquet", filesystem=fs)
+    if override_num_blocks is None:
+        override_num_blocks = read_blocks(
+            src.count_rows(), int(ray.cluster_resources().get("CPU", 4)))
+    ds = ray.data.read_parquet(files, filesystem=fs,
+                               columns=["conv_id", "turn_idx", "text"],
+                               override_num_blocks=override_num_blocks)
+    return ds, src
 
 
 def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
@@ -787,23 +853,27 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
     rows change between runs (a ``limit`` over shuffled blocks, a
     random filter) still yields the whole lexicon graph."""
     return _build(transcripts, data_dir, fuzzy, dedup, batch_size,
-                  dedup_mode, driver_discover_limit, big_rows,
-                  own_read=False)
+                  dedup_mode, driver_discover_limit, big_rows)
 
 
 def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
            batch_size: int, dedup_mode: str, driver_discover_limit: int,
-           big_rows: int | None, own_read: bool):
-    """:func:`build_kg_from`; ``own_read`` says :func:`build_kg` opened
-    ``transcripts`` itself, so each run yields the same rows and the
-    scoped route may carry the lexicon graph on the owner turn."""
+           big_rows: int | None, src: pads.Dataset | None = None):
+    """:func:`build_kg_from`; ``src`` is the driver-side view of the
+    files :func:`build_kg` opened ``transcripts`` over, so each run
+    yields the same rows, the contract check reads them on the driver,
+    and the scoped route may carry the lexicon graph on the owner
+    turn."""
     contract = None
     if dedup and dedup_mode == "auto":
         # contract-checked pushdown (see build_kg's dedup_mode docs):
-        # the check costs one 2-column pass over the input, which also
-        # names the scoped route's owner turn (Datasets re-execute
-        # from their source)
-        contract = _turn_key_contract(transcripts)
+        # one 2-column hash pass over the input, which also names the
+        # scoped route's owner turn.  Over build_kg's own files it
+        # runs on the driver, so the build stays one Ray Data
+        # execution; a Dataset input gets a pass of its own (Datasets
+        # re-execute from their source)
+        contract = _turn_key_contract(
+            transcripts if src is None else src, driver_discover_limit)
         unique = contract[0]
         if unique is None:
             unique = _turn_keys_unique_distributed(transcripts)
@@ -857,9 +927,10 @@ def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
         small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows,
                                                      keys)
         carry = None
-        if own_read and not parts:
+        if src is not None and not parts:
             # an explicit "scoped" build runs the hash pass only here
-            _, owner = contract or _turn_key_contract(transcripts)
+            _, owner = contract or _turn_key_contract(
+                src, driver_discover_limit)
             if owner is not None:
                 carry = (owner, ray.put(small_tbl.drop_columns(["__h"])))
         local = transcripts.map_batches(
@@ -898,15 +969,40 @@ def _turn_key_hashes(transcripts, driver_limit: int = 50_000_000):
     from ..stages.base import hash_column
 
     def h(t: pa.Table) -> pa.Table:
-        return pa.table({"__h": hash_column(t, ("conv_id", "turn_idx"))})
+        return pa.table({"__h": hash_column(t, _TURN_KEYS)})
 
-    hs = transcripts.select_columns(["conv_id", "turn_idx"]).map_batches(
+    hs = transcripts.select_columns(list(_TURN_KEYS)).map_batches(
         h, batch_format="pyarrow")
+    return _sorted_hashes(
+        (b["__h"] for b in hs.iter_batches(batch_format="pyarrow",
+                                           batch_size=None)),
+        driver_limit)
+
+
+def _parquet_turn_key_hashes(src: pads.Dataset,
+                             driver_limit: int = 50_000_000):
+    """:func:`_turn_key_hashes` over Parquet files, on the driver: the
+    footers give the row count, then the two key columns stream batch
+    by batch through the same :func:`~tera_ray.stages.base.hash_column`
+    the linker tasks use, and only their u64 hashes are kept."""
+    from ..stages.base import hash_column
+
+    if src.count_rows() > driver_limit:
+        return None
+    return _sorted_hashes(
+        (hash_column(b, _TURN_KEYS)
+         for b in src.to_batches(columns=list(_TURN_KEYS))),
+        driver_limit)
+
+
+def _sorted_hashes(arrays, driver_limit: int):
+    """The u64 hash arrays concatenated and sorted, or ``None`` once
+    they pass ``driver_limit`` values."""
     chunks: list[np.ndarray] = []
     total = 0
-    for b in hs.iter_batches(batch_format="pyarrow", batch_size=None):
-        chunks.append(b["__h"].to_numpy(zero_copy_only=False))
-        total += b.num_rows
+    for a in arrays:
+        chunks.append(a.to_numpy(zero_copy_only=False))
+        total += len(a)
         if total > driver_limit:
             return None
     allh = (np.concatenate(chunks).astype(np.uint64, copy=False)
@@ -934,8 +1030,7 @@ def _prev_overlaps_turns(prev_kg, sorted_hashes: np.ndarray) -> bool:
         t = t.filter(pc.is_valid(t["conv_id"]))
         if t.num_rows == 0:
             return t.select(["conv_id"])
-        h = hash_column(t, ("conv_id", "turn_idx")) \
-            .to_numpy(zero_copy_only=False)
+        h = hash_column(t, _TURN_KEYS).to_numpy(zero_copy_only=False)
         pos = np.searchsorted(d, h)
         m = (pos < len(d)) & (d[np.minimum(pos, len(d) - 1)] == h)
         return t.filter(pa.array(m)).select(["conv_id"])

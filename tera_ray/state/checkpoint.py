@@ -184,13 +184,11 @@ def build_kg_checkpointed(data_dir: str, ckpt_root: str, fuzzy: bool = True,
     Each stage writes hash-partitioned Parquet + manifest; a rerun with
     the same inputs skips completed stages (byte-identical manifests).
     """
-    import ray
-    import ray.data
-
     from ..pipelines.transcripts import (
         build_lexicon,
         lexicon_dataset,
         link_transcripts,
+        read_transcripts,
     )
     from ..stages.base import dedup_triples
 
@@ -204,9 +202,10 @@ def build_kg_checkpointed(data_dir: str, ckpt_root: str, fuzzy: bool = True,
 
     def make_link():
         lex_ref = build_lexicon(data_dir)
-        # prune to the linker's three columns at the read (SURVEY §7.4)
-        tr = ray.data.read_parquet(
-            tpath, columns=["conv_id", "turn_idx", "text"])
+        # build_kg's read: the linker's three columns, in a block count
+        # sized to the input (write_stage writes one file per block per
+        # partition)
+        tr, _ = read_transcripts(tpath)
         return link_transcripts(tr, lex_ref, fuzzy=fuzzy)
 
     link_ds, link_skipped = run_stage(make_link, ckpt_root, "link", fp_link,
@@ -495,9 +494,8 @@ def update_kg_incremental(root: str, data_dir: str, shard_paths,
 
     Returns ``{"skipped", "stage", "novel_rows"}``.
     """
-    import ray.data
-
-    from ..pipelines.transcripts import build_kg_from, update_kg
+    from ..pipelines.transcripts import (build_kg_from, read_transcripts,
+                                         update_kg)
 
     if isinstance(shard_paths, str):
         shard_paths = [shard_paths]
@@ -544,8 +542,7 @@ def update_kg_incremental(root: str, data_dir: str, shard_paths,
                             "taxonomy_names", "divisions")
                   if os.path.exists(os.path.join(data_dir, n + ".parquet"))]
     lex_fp = input_fingerprint(*lex_tables)
-    new_tr = ray.data.read_parquet(list(shard_paths),
-                                   columns=["conv_id", "turn_idx", "text"])
+    new_tr, _ = read_transcripts(shard_paths)
     if base_m is None:
         write_stage(build_kg_from(new_tr, data_dir, fuzzy=fuzzy,
                                   dedup_mode="auto"),

@@ -5,6 +5,7 @@ import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
 
@@ -37,6 +38,25 @@ def _spo(tables):
 
 def _ds_spo(ds):
     return _spo(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+
+
+def _data_dir_with(tmp_path, fixtures_t1, tables):
+    """A data directory holding ``fixtures_t1``'s lexicon tables and
+    ``tables`` as its transcript input: one table is written as the
+    file ``transcripts.parquet``, several as a directory of shard
+    files under that name."""
+    tmp_path.mkdir(exist_ok=True)
+    for name in os.listdir(fixtures_t1):
+        if name.endswith(".parquet") and name != "transcripts.parquet":
+            os.symlink(os.path.join(fixtures_t1, name), tmp_path / name)
+    path = tmp_path / "transcripts.parquet"
+    if len(tables) == 1:
+        pq.write_table(tables[0], path)
+    else:
+        path.mkdir()
+        for i, t in enumerate(tables):
+            pq.write_table(t, path / f"part-{i}.parquet")
+    return str(tmp_path)
 
 
 class TestLexicon:
@@ -824,15 +844,12 @@ class TestCarriedLexicon:
             path, columns=["conv_id", "turn_idx", "text"]).limit(0)
         assert _turn_key_contract(empty) == (True, None)
         # the same lexicon tables next to a zero-row transcripts file
-        for name in os.listdir(fixtures_t1):
-            if name.endswith(".parquet") and name != "transcripts.parquet":
-                os.symlink(os.path.join(fixtures_t1, name), tmp_path / name)
-        pq.write_table(pq.read_table(path).slice(0, 0),
-                       tmp_path / "transcripts.parquet")
+        d = _data_dir_with(tmp_path, fixtures_t1,
+                           [pq.read_table(path).slice(0, 0)])
         want = _ds_spo(lexicon_dataset(fixtures_t1))
         assert len(want) > 0
         for mode in ("auto", "scoped"):
-            assert _ds_spo(build_kg(str(tmp_path), dedup_mode=mode)) == want
+            assert _ds_spo(build_kg(d, dedup_mode=mode)) == want
             assert _ds_spo(build_kg_from(empty, fixtures_t1,
                                          dedup_mode=mode)) == want
 
@@ -875,7 +892,8 @@ class TestCarriedLexicon:
         passes = []
         real = T._turn_key_contract
         monkeypatch.setattr(T, "_turn_key_contract",
-                            lambda tr: passes.append(1) or real(tr))
+                            lambda src, *a: passes.append(src)
+                            or real(src, *a))
         assert _ds_spo(T.build_kg(fixtures_t1, dedup_mode="scoped",
                                   big_rows=1)) == want
         tr = ray.data.read_parquet(
@@ -885,7 +903,9 @@ class TestCarriedLexicon:
                                        dedup_mode="scoped")) == want
         assert passes == []
         T.build_kg(fixtures_t1, dedup_mode="scoped")
-        assert passes == [1]
+        # one pass, over the build's own files on the driver
+        assert len(passes) == 1
+        assert isinstance(passes[0], pads.Dataset)
 
     def test_owner_is_the_sole_smallest_key_hash(self, fixtures_t1):
         import numpy as np
@@ -903,6 +923,108 @@ class TestCarriedLexicon:
         # a repeated owner row is no owner: the build falls back to
         # the union, never carrying the lexicon twice
         assert _turn_key_contract(tr.union(first)) == (False, None)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestDriverSideContract:
+    """``build_kg`` checks the unique-turn contract on the driver, from
+    the same Parquet files its read gets, and sizes that read from the
+    footers' row count."""
+
+    def test_carried_build_is_one_execution(self, fixtures_t1, tmp_path,
+                                            monkeypatch):
+        from tera_ray.pipelines import transcripts as T
+
+        want = _ds_spo(T.build_kg(fixtures_t1, dedup_mode="global"))
+
+        def no_pass(*a, **kw):
+            raise AssertionError("a Dataset hash pass ran")
+
+        monkeypatch.setattr(T, "_turn_key_hashes", no_pass)
+        monkeypatch.setattr(T, "_turn_keys_unique_distributed", no_pass)
+        out = str(tmp_path / "kg")
+        ds = T.build_kg(fixtures_t1)
+        ds.write_parquet(out)
+        ops = [ln.split(":")[0].split(" ", 2)[2]
+               for ln in ds.stats().splitlines()
+               if ln.startswith("Operator ")]
+        assert len(ops) == 2, ops
+        assert ops[0].startswith("ReadParquet")
+        assert ops[1] == "MapBatches(LinkerStage)->Write"
+        assert _spo([pq.read_table(out)]) == want
+
+    def test_driver_contract_equals_dataset_contract(self, fixtures_t1,
+                                                     tmp_path):
+        import ray.data
+
+        from tera_ray.pipelines.transcripts import (_turn_key_contract,
+                                                    build_kg)
+
+        full = pq.read_table(os.path.join(fixtures_t1,
+                                          "transcripts.parquet"))
+        n = full.num_rows
+        shards = [full.slice(0, n // 3), full.slice(n // 3, n // 3),
+                  full.slice(2 * (n // 3))]
+        cases = {
+            "t1": fixtures_t1,
+            "shards": _data_dir_with(tmp_path / "shards", fixtures_t1,
+                                     shards),
+            "empty": _data_dir_with(tmp_path / "empty", fixtures_t1,
+                                    [full.slice(0, 0)]),
+            "dup": _data_dir_with(tmp_path / "dup", fixtures_t1,
+                                  [pa.concat_tables([full,
+                                                     full.slice(7, 1)])]),
+        }
+        got = {}
+        for name, d in cases.items():
+            path = os.path.join(d, "transcripts.parquet")
+            got[name] = _turn_key_contract(pads.dataset(path))
+            assert got[name] == _turn_key_contract(
+                ray.data.read_parquet(path)), name
+        assert got["t1"][0] is True and got["t1"][1] is not None
+        assert got["shards"] == got["t1"]
+        assert got["empty"] == (True, None)
+        assert got["dup"] == (False, None)
+        # the duplicated key sends auto to the hash route, which
+        # removes the twin's triples
+        assert _ds_spo(build_kg(cases["dup"])) == _ds_spo(
+            build_kg(cases["dup"], dedup_mode="global"))
+        assert _ds_spo(build_kg(cases["shards"])) == _ds_spo(
+            build_kg(fixtures_t1, dedup_mode="global"))
+
+    def test_above_the_driver_limit_the_check_is_distributed(
+            self, fixtures_t1, monkeypatch):
+        from tera_ray.pipelines import transcripts as T
+
+        want = _ds_spo(T.build_kg(fixtures_t1, dedup_mode="global"))
+        calls = []
+        real = T._turn_keys_unique_distributed
+        monkeypatch.setattr(T, "_turn_keys_unique_distributed",
+                            lambda tr: calls.append(1) or real(tr))
+        got = _ds_spo(T.build_kg(fixtures_t1, driver_discover_limit=10))
+        assert calls == [1]
+        assert got == want and max(got.values()) == 1
+
+    def test_read_block_rule(self):
+        from tera_ray.pipelines.transcripts import read_blocks
+
+        for ncpu in (1, 2, 3, 4, 8, 32):
+            last = 0
+            for rows in (0, 1, 5_000, 20_000, 100_000, 100_001, 500_000,
+                         2_000_000, 10**9):
+                b = read_blocks(rows, ncpu)
+                assert b % ncpu == 0 and ncpu <= b <= max(8, 4 * ncpu)
+                assert b >= last
+                last = b
+        assert read_blocks(20_000, 4) == 4
+        assert read_blocks(100_000, 4) == 4
+        assert read_blocks(0, 1) == 1
+        # above the measured small-input range: 4 per CPU, at least 8
+        assert read_blocks(2_000_000, 8) == 32
+        assert read_blocks(500_000, 32) == 128
+        assert read_blocks(2_000_000, 32) == 128
+        assert read_blocks(500_000, 4) == 16
+        assert read_blocks(500_000, 1) == 8
 
 
 def test_build_kg_finishes_on_one_cpu(fixtures_t1):

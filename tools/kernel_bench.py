@@ -20,10 +20,20 @@ then reports the median and min/max of ``--repeats`` runs of:
 The probe set is every (span, case) the cold call put in the memo.
 ``kernel_calls`` counts the DP kernel calls of one cold linker call.
 
+The ``contract`` section (off by default) times the driver-side
+unique-turn contract check ``build_kg`` runs before its read: the
+``(conv_id, turn_idx)`` hash pass over Parquet files
+(``_turn_key_contract`` on a ``pyarrow.dataset``), on the ``TURNS``-turn
+transcript file and on a ``CONTRACT_ROWS``-row key table written by the
+tool (8 turns per conversation).  Each input runs in a fresh child
+process, which reports its RSS before the first pass (``base_rss_mib``)
+and its peak RSS after all passes (``peak_rss_mib``).
+
 Usage::
 
     python tools/kernel_bench.py [--repeats 7]
-        [--sections linker,loop,pairs] [--root /tmp/tera_ray_fixtures]
+        [--sections linker,loop,pairs,contract]
+        [--root /tmp/tera_ray_fixtures]
 
 Prints one JSON object.
 """
@@ -41,11 +51,13 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import numpy as np  # noqa: E402
+import pyarrow as pa  # noqa: E402
 import pyarrow.parquet as pq  # noqa: E402
 
 _KERNELS = ("levenshtein_batch", "levenshtein_pairs")
 TURNS = 20000
 BATCH = 5000
+CONTRACT_ROWS = 2_000_000
 
 
 def _timed(fn, repeats: int, setup=None) -> dict:
@@ -84,13 +96,70 @@ def _count_kernel_calls(fn) -> dict:
     return counts
 
 
+def _rss_mib(field: str) -> float:
+    """``VmRSS`` (now) or ``VmHWM`` (peak) of this process, in MiB.  The
+    peak is read from ``/proc`` because ``ru_maxrss`` survives ``exec``
+    and would report the parent's peak."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024
+    raise KeyError(field)
+
+
+def _contract_child(path: str, repeats: int) -> None:
+    """One input's contract timings, in this (fresh) process."""
+    import pyarrow.dataset as pads
+
+    from tera_ray.pipelines.transcripts import _turn_key_contract
+
+    base = _rss_mib("VmRSS")
+    out = _timed(lambda _: _turn_key_contract(pads.dataset(path)), repeats)
+    out["rows"] = pads.dataset(path).count_rows()
+    out["base_rss_mib"] = round(base, 1)
+    out["peak_rss_mib"] = round(_rss_mib("VmHWM"), 1)
+    print(json.dumps(out))
+
+
+def _key_table(root: str) -> str:
+    """A ``CONTRACT_ROWS``-row ``(conv_id, turn_idx)`` Parquet file,
+    8 turns per conversation, cached under ``root``."""
+    path = os.path.join(root, f"contract_keys_{CONTRACT_ROWS}.parquet")
+    if not os.path.exists(path):
+        i = np.arange(CONTRACT_ROWS)
+        conv = np.char.add("conversation-", (i // 8).astype(str))
+        tmp = path + ".tmp"
+        pq.write_table(pa.table({
+            "conv_id": pa.array(conv, pa.string()),
+            "turn_idx": pa.array(i % 8, pa.int32())}), tmp)
+        os.replace(tmp, path)
+    return path
+
+
+def _contract(d: str, root: str, repeats: int) -> dict:
+    import subprocess
+
+    out = {}
+    for name, path in (("turns", os.path.join(d, "transcripts.parquet")),
+                       ("keys", _key_table(root))):
+        res = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--_contract", path,
+             "--repeats", str(repeats)],
+            capture_output=True, text=True, check=True)
+        out[name] = json.loads(res.stdout.splitlines()[-1])
+    return out
+
+
 def main(argv=None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--sections", default="linker,loop,pairs")
     ap.add_argument("--root", default="/tmp/tera_ray_fixtures",
                     help="fixture cache directory")
+    ap.add_argument("--_contract", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args._contract:
+        return _contract_child(args._contract, args.repeats)
     sections = set(args.sections.split(","))
 
     from tera_ray.pipelines.transcripts import LinkerStage
@@ -162,6 +231,8 @@ def main(argv=None) -> dict:
             lambda _: lx.levenshtein_pairs(a, a_lens, b, b_lens, 2),
             args.repeats)
         out["pairs_n"] = len(ql)
+    if "contract" in sections:
+        out["contract"] = _contract(d, args.root, args.repeats)
     print(json.dumps(out))
     return out
 
