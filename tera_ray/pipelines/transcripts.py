@@ -11,8 +11,11 @@ detection against the same lexicons.
 Stage layout (all streaming, no driver materialization):
 
 - mention linking is a PURE ``map_batches`` over raw turn rows — no
-  shuffle; plain tasks on warm workers, each worker deserializing the
-  ``ray.put`` lexicon once per build (:func:`_resolve_lexicon`).
+  shuffle; plain tasks on warm workers.  The driver derives the
+  lexicon and its deduplicated graph once per lexicon fingerprint per
+  session and keeps their ``ray.put`` refs (:func:`_lexicon_refs`), so
+  each worker deserializes the lexicon once per fingerprint, not once
+  per build (:func:`_resolve_lexicon`).
 - :func:`build_kg` resolves the input's Parquet files once on the
   driver and reads exactly those, in a block count derived from the
   footers' row count (:func:`read_transcripts`, :func:`read_blocks`).
@@ -35,6 +38,7 @@ Stage layout (all streaming, no driver materialization):
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -56,6 +60,11 @@ from ..units import unit_parser
 
 TRANSCRIPT_GRAPH = "transcripts"
 _TURN_KEYS = ("conv_id", "turn_idx")
+_SPO = ("subj", "pred", "obj")
+# A lexicon table of at least this many rows scales with the corpus:
+# its graph is emitted distributed, not on the driver
+# (_read_lexicon_tables).
+LEXICON_BIG_ROWS = 100_000
 _NUM_RE = re.compile(r"^\d+(\.\d+)?([eE]-?\d+)?$")
 
 
@@ -64,8 +73,11 @@ _LEXICON_CACHE: tuple[bytes, Lexicon] | None = None   # (ref id, lexicon)
 
 def _resolve_lexicon(lexicon) -> Lexicon:
     """A Lexicon as is; a broadcast ref through a one-entry per-process
-    cache keyed by its id, so a worker deserializes a build's lexicon
-    once and holds at most one (ids are never reused in a session)."""
+    cache keyed by its id, so a worker deserializes a lexicon once and
+    holds at most one (ids are never reused in a session).  The driver
+    broadcasts one ref per lexicon fingerprint per session
+    (:func:`_lexicon_refs`), so repeated builds over the same lexicon
+    tables find it resolved, fuzzy memo included."""
     global _LEXICON_CACHE
     if isinstance(lexicon, ray.ObjectRef):
         key = lexicon.binary()
@@ -491,27 +503,12 @@ def conversation_digests(ds):
         "__b", digest_bucket)
 
 
-def build_lexicon(data_dir: str, endpoints=(), effects=()):
-    """Read the (small) lexicon tables driver-side and broadcast once."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    def rd(name):
-        p = os.path.join(data_dir, name + ".parquet")
-        return pq.read_table(p) if os.path.exists(p) else None
-
-    from ..sources import synthetic as syn
-    from ..state.lexicon import lexicon_from_tables
-
-    lex = lexicon_from_tables(
-        species=rd("species"),
-        synonyms=rd("species_synonyms"),
-        chemicals=rd("chemicals"),
-        endpoints=endpoints or syn.ENDPOINTS,
-        effects=effects or syn.EFFECTS,
-    )
-    return ray.put(lex)
+def build_lexicon(data_dir: str):
+    """The broadcast :class:`~tera_ray.state.lexicon.Lexicon` of
+    ``data_dir``'s lexicon tables, from the session's lexicon memo
+    (:func:`_lexicon_refs`): derived and ``ray.put`` once per lexicon
+    fingerprint per session."""
+    return _lexicon_refs(data_dir).lexicon
 
 
 def _lift_lineage(t: pa.Table) -> pa.Table:
@@ -542,81 +539,189 @@ def _lexicon_emitters():
     ]
 
 
-def lexicon_sources(data_dir: str, big_rows: int | None = 100_000):
-    """Split lexicon emission by SOURCE SIZE: a driver-side Arrow table
-    for the genuinely-small tables (species, chemicals, taxonomy —
-    bounded vocabularies) and a ``[(path, emitter), ...]`` list for
-    tables whose row count scales with the corpus (tests/results grow
-    with the fixture): driver-side emission of those serializes the
-    head of every build (~2s per 2M turns — pure Amdahl floor), so the
-    caller unions ``read_parquet(path).map_batches(emitter)`` pipelines
-    instead.  ``big_rows=None`` keeps everything driver-side."""
+def _read_lexicon_tables(data_dir: str, big_rows: int | None):
+    """Split the lexicon tables present in ``data_dir`` by SOURCE SIZE,
+    reading each driver-side table once: ``(tables, big)``.
+
+    ``tables`` maps the name of each genuinely-small table (species,
+    chemicals, taxonomy — bounded vocabularies) to its Arrow table.
+    ``big`` is a ``[(path, emitter), ...]`` list for the tables of
+    ``big_rows`` rows or more, whose row count scales with the corpus
+    (tests/results grow with the fixture): driver-side emission of
+    those serializes the head of every build (~2s per 2M turns — pure
+    Amdahl floor), so their graphs are emitted by distributed
+    ``read_parquet(path).map_batches(emitter)`` pipelines instead.
+    ``big_rows=None`` keeps everything driver-side."""
     import os
 
     import pyarrow.parquet as pq
 
-    from ..stages import ecotox, taxonomy
-
-    parts, big = [], []
+    tables, big, rows = {}, [], {}
     for name, fn in _lexicon_emitters():
-        path = os.path.join(data_dir, name + ".parquet")
+        path = os.path.abspath(os.path.join(data_dir, name + ".parquet"))
         if not os.path.exists(path):
             continue
-        if (big_rows is not None
-                and pq.ParquetFile(path).metadata.num_rows >= big_rows):
+        if name not in rows:
+            rows[name] = pq.ParquetFile(path).metadata.num_rows
+        if big_rows is not None and rows[name] >= big_rows:
             big.append((path, fn))
-            continue
-        parts.append(fn(pq.read_table(path)))
+        elif name not in tables:
+            tables[name] = pq.read_table(path)
+    return tables, big
+
+
+def _small_lexicon_graph(tables: dict) -> pa.Table:
+    """The lineage-lifted triples of the driver-side tables plus the
+    static axioms, not deduplicated."""
+    from ..stages import ecotox, taxonomy
+
+    parts = [fn(tables[name]) for name, fn in _lexicon_emitters()
+             if name in tables]
     parts.append(ecotox.ecotox_taxonomy_axioms())
     parts.append(taxonomy.static_axioms())
-    return _lift_lineage(pa.concat_tables(parts, promote_options="none")), big
+    return _lift_lineage(pa.concat_tables(parts, promote_options="none"))
 
 
-def _combined_lexicon_sources(data_dir: str, big_rows: int | None,
-                              keys=("subj", "pred", "obj")):
-    """:func:`lexicon_sources` with the fused-combiner treatment
-    applied: the driver-side small table comes back deduped with its
-    ``__h`` row-hash column, and each corpus-scaled table becomes a
-    distributed Dataset whose batches are combiner-deduped and hashed
-    (``precombined=True`` contract of ``dedup_triples_hash``)."""
+def lexicon_sources(data_dir: str, big_rows: int | None = LEXICON_BIG_ROWS):
+    """The lexicon graph split by source size (:func:`_read_lexicon_tables`):
+    ``(small, big)``, the driver-side tables' triples as one Arrow table,
+    not deduplicated, and the ``[(path, emitter), ...]`` list of the
+    corpus-scaled tables."""
+    tables, big = _read_lexicon_tables(data_dir, big_rows)
+    return _small_lexicon_graph(tables), big
+
+
+def _lexicon_from(data_dir: str, tables: dict) -> Lexicon:
+    """``lexicon_from_tables`` over the species, synonym and chemical
+    tables; one that :func:`_read_lexicon_tables` left corpus-scaled is
+    read here, since the linker still needs its names."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from ..sources import synthetic as syn
+    from ..state.lexicon import lexicon_from_tables
+
+    def table(name):
+        if name in tables:
+            return tables[name]
+        p = os.path.join(data_dir, name + ".parquet")
+        return pq.read_table(p) if os.path.exists(p) else None
+
+    return lexicon_from_tables(
+        species=table("species"),
+        synonyms=table("species_synonyms"),
+        chemicals=table("chemicals"),
+        endpoints=syn.ENDPOINTS,
+        effects=syn.EFFECTS,
+    )
+
+
+def _combine(t: pa.Table, keys) -> pa.Table:
+    """The fused combiner: ``t`` deduplicated on ``keys`` with its
+    ``__h`` row hash appended (the ``precombined=True`` contract of
+    :func:`~tera_ray.stages.base.dedup_triples_hash`)."""
     from ..stages.base import dedup_table, hash_column
 
-    small_tbl, big = lexicon_sources(data_dir, big_rows=big_rows)
-    small_tbl = dedup_table(small_tbl, keys)
-    small_tbl = small_tbl.append_column("__h", hash_column(small_tbl, keys))
+    t = dedup_table(t, keys)
+    return t.append_column("__h", hash_column(t, keys))
 
+
+def _derive_lexicon(data_dir: str, big_rows: int | None, keys=_SPO):
+    """The lexicon memo's miss, with no Ray call: one read of each
+    lexicon table gives ``(lexicon, graph, big)`` — the
+    :class:`~tera_ray.state.lexicon.Lexicon`, the driver-side tables'
+    graph deduplicated with its ``__h`` column (:func:`_combine`), and
+    the corpus-scaled ``(path, emitter)`` list."""
+    tables, big = _read_lexicon_tables(data_dir, big_rows)
+    lex = _lexicon_from(data_dir, tables)
+    return lex, _combine(_small_lexicon_graph(tables), keys), big
+
+
+class _LexiconRefs(NamedTuple):
+    lexicon: ray.ObjectRef     # the broadcast Lexicon
+    graph_h: ray.ObjectRef     # deduplicated driver-side graph with __h
+    graph: ray.ObjectRef       # the same without __h (carried or unioned)
+    big: list                  # [(path, emitter)] of corpus-scaled tables
+
+
+_LEXICON_MEMO: tuple | None = None      # (key, _LexiconRefs)
+
+
+def _lexicon_refs(data_dir: str, big_rows: int | None = LEXICON_BIG_ROWS,
+                  keys=_SPO) -> _LexiconRefs:
+    """The derived lexicon of ``data_dir`` as object refs, kept in a
+    one-entry driver-side memo.
+
+    The key is the Ray connection (node and job id: a fresh local
+    cluster gets a new node, a reconnect a new job, so a ref from a
+    shut-down session is never served), the
+    :func:`~tera_ray.state.checkpoint.input_fingerprint` (path, size,
+    ``mtime_ns``) of the lexicon tables present — the rule checkpoint
+    resume and ``lexicon_unchanged`` trust — ``big_rows`` and ``keys``.
+    A miss runs :func:`_derive_lexicon` and broadcasts its results; a
+    hit returns the same refs, so repeated builds skip the derivation
+    and workers keep the Lexicon they resolved (:func:`_resolve_lexicon`
+    caches by ref id).  The corpus-scaled tables' Datasets are built by
+    each caller (:func:`_big_lexicon_parts`); they cost nothing until
+    executed."""
+    import os
+
+    from ..state.checkpoint import input_fingerprint
+
+    global _LEXICON_MEMO
+    ctx = ray.get_runtime_context()
+    paths = {os.path.abspath(os.path.join(data_dir, name + ".parquet"))
+             for name, _ in _lexicon_emitters()}
+    key = (ctx.get_node_id(), ctx.get_job_id(),
+           input_fingerprint(*(p for p in paths if os.path.exists(p))),
+           big_rows, tuple(keys))
+    # one read of the global: a concurrent miss for another key may
+    # replace the entry, but each caller returns the refs of its own key
+    memo = _LEXICON_MEMO
+    if memo is None or memo[0] != key:
+        _LEXICON_MEMO = memo = None     # release the old refs first
+        lex, graph_h, big = _derive_lexicon(data_dir, big_rows, keys)
+        memo = _LEXICON_MEMO = (key, _LexiconRefs(
+            ray.put(lex), ray.put(graph_h),
+            ray.put(graph_h.drop_columns(["__h"])), big))
+    return memo[1]
+
+
+def _big_lexicon_parts(big: list, keys=None) -> list:
+    """One lazy Dataset per corpus-scaled ``(path, emitter)``: the
+    emitted, lineage-lifted triples, combined per batch
+    (:func:`_combine`) when ``keys`` is given."""
     def lift_combine(t: pa.Table) -> pa.Table:
-        t = dedup_table(_lift_lineage(t), keys)
-        return t.append_column("__h", hash_column(t, keys))
+        return _combine(_lift_lineage(t), keys)
 
-    parts = [ray.data.read_parquet(path)
-             .map_batches(fn, batch_format="pyarrow")
-             .map_batches(lift_combine, batch_format="pyarrow")
-             for path, fn in big]
-    return small_tbl, parts
+    return [ray.data.read_parquet(path)
+            .map_batches(fn, batch_format="pyarrow")
+            .map_batches(lift_combine if keys else _lift_lineage,
+                         batch_format="pyarrow")
+            for path, fn in big]
 
 
-def lexicon_dataset(data_dir: str, big_rows: int | None = 100_000,
-                    keys=("subj", "pred", "obj"),
+def lexicon_dataset(data_dir: str, big_rows: int | None = LEXICON_BIG_ROWS,
+                    keys=_SPO,
                     driver_discover_limit: int = 50_000_000):
     """The DEDUPED lexicon-triple store as a Dataset, with
     corpus-scaled tables emitted distributed: small tables dedup in
     one driver batch; when big tables exist the whole lexicon
     partition goes through ``dedup_triples_hash`` (8 B/row
     exchange)."""
-    small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows, keys)
-    return _dedup_lexicon(small_tbl, parts, keys, driver_discover_limit)
+    return _dedup_lexicon(_lexicon_refs(data_dir, big_rows, keys), keys,
+                          driver_discover_limit)
 
 
-def _dedup_lexicon(small_tbl: pa.Table, parts: list, keys,
-                   driver_discover_limit: int):
-    """:func:`lexicon_dataset` over already-emitted sources."""
+def _dedup_lexicon(refs: _LexiconRefs, keys, driver_discover_limit: int):
+    """:func:`lexicon_dataset` over the memo's refs."""
     from ..stages.base import dedup_triples_hash
 
-    if not parts:
-        return ray.data.from_arrow(small_tbl.drop_columns(["__h"]))
-    ds = ray.data.from_arrow(small_tbl)
-    for p in parts:
+    if not refs.big:
+        return ray.data.from_arrow_refs([refs.graph])
+    ds = ray.data.from_arrow_refs([refs.graph_h])
+    for p in _big_lexicon_parts(refs.big, keys):
         ds = ds.union(p)
     return dedup_triples_hash(ds, keys, precombined=True,
                               driver_discover_limit=driver_discover_limit)
@@ -703,7 +808,7 @@ def build_kg(data_dir: str, fuzzy: bool = True, dedup: bool = True,
              override_num_blocks: int | None = None,
              dedup_mode: str = "auto",
              driver_discover_limit: int = 50_000_000,
-             big_rows: int | None = 100_000):
+             big_rows: int | None = LEXICON_BIG_ROWS):
     """End-to-end KG construction over a fixture directory: transcripts →
     linked mention triples, unioned with the (driver-side) lexicon-table
     triples and static axioms, exact-deduped (SURVEY A1).  Returns a
@@ -831,7 +936,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
                   dedup: bool = True, batch_size: int = 4096,
                   dedup_mode: str = "hash",
                   driver_discover_limit: int = 50_000_000,
-                  big_rows: int | None = 100_000):
+                  big_rows: int | None = LEXICON_BIG_ROWS):
     """:func:`build_kg` over an ALREADY-OPEN transcript Dataset — the
     entry point for filtered/partial builds and the incremental path
     (:func:`update_kg`); ``data_dir`` still supplies the lexicon
@@ -839,7 +944,7 @@ def build_kg_from(transcripts, data_dir: str, fuzzy: bool = True,
     :func:`~tera_ray.stages.base.dedup_triples_hash` (0 forces the
     distributed duplicate discovery — the scaling legs use it so the
     measured job keeps its exchange).  ``big_rows`` is the
-    :func:`lexicon_sources` threshold above which a lexicon table is
+    :func:`_read_lexicon_tables` threshold above which a lexicon table is
     emitted DISTRIBUTED instead of driver-side (None = all driver-side;
     tests lower it to exercise the distributed routing on small
     fixtures).
@@ -878,7 +983,9 @@ def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
         if unique is None:
             unique = _turn_keys_unique_distributed(transcripts)
         dedup_mode = "scoped" if unique else "hash"
-    lex_ref = build_lexicon(data_dir)
+    # the session's lexicon memo: derived on the first build over these
+    # lexicon tables, the same refs on every later one
+    refs = _lexicon_refs(data_dir, big_rows)
     if dedup and dedup_mode == "hash":
         # fused-combiner flagship path: per-batch dedup + __h happen
         # inside the linker tasks (no separate combiner stage to
@@ -890,15 +997,13 @@ def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
         # are exactly what the hash discovery pass exists to catch
         from ..stages.base import dedup_triples_hash
 
-        keys = ("subj", "pred", "obj")
+        keys = _SPO
         triples = link_transcripts(
-            transcripts, lex_ref, fuzzy=fuzzy,
+            transcripts, refs.lexicon, fuzzy=fuzzy,
             batch_size=batch_size, combine_keys=keys,
         )
-        small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows,
-                                                     keys)
-        out = triples.union(ray.data.from_arrow(small_tbl))
-        for part in parts:
+        out = triples.union(ray.data.from_arrow_refs([refs.graph_h]))
+        for part in _big_lexicon_parts(refs.big, keys):
             out = out.union(part)
         return dedup_triples_hash(out, keys, precombined=True,
                                   driver_discover_limit=driver_discover_limit)
@@ -923,38 +1028,34 @@ def _build(transcripts, data_dir: str, fuzzy: bool, dedup: bool,
         # fixture) emits DISTRIBUTED and the lexicon partition alone
         # goes through dedup_triples_hash — only 8 B/row cross its
         # exchange, and the turn-graph partition still never shuffles.
-        keys = ("subj", "pred", "obj")
-        small_tbl, parts = _combined_lexicon_sources(data_dir, big_rows,
-                                                     keys)
+        keys = _SPO
         carry = None
-        if src is not None and not parts:
+        if src is not None and not refs.big:
             # an explicit "scoped" build runs the hash pass only here
             _, owner = contract or _turn_key_contract(
                 src, driver_discover_limit)
             if owner is not None:
-                carry = (owner, ray.put(small_tbl.drop_columns(["__h"])))
+                carry = (owner, refs.graph)
         local = transcripts.map_batches(
-            LinkerStage(lex_ref, fuzzy=fuzzy, combine_keys=keys,
+            LinkerStage(refs.lexicon, fuzzy=fuzzy, combine_keys=keys,
                         combine_hash=False, carry=carry),
             batch_format="pyarrow", batch_size=batch_size)
         if carry is not None:
             return local
-        return local.union(_dedup_lexicon(small_tbl, parts, keys,
+        return local.union(_dedup_lexicon(refs, keys,
                                           driver_discover_limit))
     # generic tail (global sort dedup / dedup=False): big lexicon tables
     # still emit distributed — driver-side emission is O(corpus) there
     # too, and the global dedup (or, for dedup=False, the caller's
-    # stated no-dedup semantics) covers cross-part duplicates
+    # stated no-dedup semantics) covers cross-part duplicates; the
+    # driver-side part is the memo's graph, already deduplicated
     triples = link_transcripts(
-        transcripts, lex_ref, fuzzy=fuzzy,
+        transcripts, refs.lexicon, fuzzy=fuzzy,
         batch_size=batch_size,
     )
-    small_tbl, big = lexicon_sources(data_dir, big_rows=big_rows)
-    out = triples.union(ray.data.from_arrow(small_tbl))
-    for path, fn in big:
-        out = out.union(ray.data.read_parquet(path)
-                        .map_batches(fn, batch_format="pyarrow")
-                        .map_batches(_lift_lineage, batch_format="pyarrow"))
+    out = triples.union(ray.data.from_arrow_refs([refs.graph]))
+    for part in _big_lexicon_parts(refs.big):
+        out = out.union(part)
     if dedup:
         out = dedup_triples(
             out, mode="hash" if dedup_mode == "hash" else "sort")
@@ -1119,9 +1220,9 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
                         not _prev_overlaps_turns(prev_kg, hashes):
                     scope = "turn_unique"
 
-    lex_ref = build_lexicon(data_dir)
+    refs = _lexicon_refs(data_dir)
     new_triples = link_transcripts(
-        new_transcripts, lex_ref, fuzzy=fuzzy,
+        new_transcripts, refs.lexicon, fuzzy=fuzzy,
         batch_size=batch_size)
 
     if scope == "turn_unique":
@@ -1155,14 +1256,14 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
 
         turn_triples = new_triples.map_batches(
             lambda t: dedup_table(t), batch_format="pyarrow")
-        # the shard's OWN lexicon tables route like build_kg's: bounded
-        # → one driver batch; corpus-scaled → distributed emission
-        small_tbl, lex_parts = _combined_lexicon_sources(data_dir, 100_000)
-        # stream prev's shared graphs with a running size cap; a store
-        # whose lexicon graphs were built distributed (dump scale)
-        # overflows it and the novelty check goes distributed instead
+        # the shard's OWN lexicon tables route like build_kg's (refs):
+        # bounded → one driver batch; corpus-scaled → distributed
+        # emission.  Stream prev's shared graphs with a running size
+        # cap; a store whose lexicon graphs were built distributed
+        # (dump scale) overflows it and the novelty check goes
+        # distributed instead
         chunks, nbytes, over = [], 0, False
-        if not lex_parts:  # driver path only possible for bounded lexicons
+        if not refs.big:  # driver path only possible for bounded lexicons
             for b in (prev_kg
                       .filter(expr=f"graph != '{TRANSCRIPT_GRAPH}'")
                       .map_batches(
@@ -1175,8 +1276,8 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
                 if nbytes > shared_graph_limit:
                     over = True
                     break
-        if not lex_parts and not over:
-            lex_tbl = small_tbl.drop_columns(["__h"])
+        if not refs.big and not over:
+            lex_tbl = ray.get(refs.graph)
             prev_shared = pa.concat_tables(
                 chunks
                 or [pa.table({"subj": pa.array([], pa.string()),
@@ -1194,7 +1295,7 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
             # O(new shard lexicon) + O(prev lexicon partition), never
             # O(prev) or O(corpus) driver-side.
             novel_lex_ds = multi_key_anti_join(
-                lexicon_dataset(data_dir, big_rows=100_000),
+                lexicon_dataset(data_dir),
                 prev_kg.filter(expr=f"graph != '{TRANSCRIPT_GRAPH}'"),
                 keys=["subj", "pred", "obj"], num_buckets=num_buckets,
                 left_schema=TRIPLE_LINEAGE_SCHEMA)
@@ -1204,12 +1305,9 @@ def update_kg(prev_kg, new_transcripts, data_dir: str, fuzzy: bool = True,
         return prev_kg.union(novel)
 
     # global path: big lexicon tables emit distributed here too
-    small_tbl, lex_parts = _combined_lexicon_sources(data_dir, 100_000)
-    cand = new_triples.union(
-        ray.data.from_arrow(small_tbl.drop_columns(["__h"])))
-    for part in lex_parts:
-        cand = cand.union(part.map_batches(
-            lambda t: t.drop_columns(["__h"]), batch_format="pyarrow"))
+    cand = new_triples.union(ray.data.from_arrow_refs([refs.graph]))
+    for part in _big_lexicon_parts(refs.big):
+        cand = cand.union(part)
     cand = dedup_triples(cand)
     novel = multi_key_anti_join(cand, prev_kg,
                                 keys=["subj", "pred", "obj"],

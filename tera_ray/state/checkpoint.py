@@ -30,6 +30,8 @@ import time
 import numpy as np
 import pyarrow as pa
 
+from ..pipelines.transcripts import LEXICON_BIG_ROWS
+
 MANIFEST = "_MANIFEST.json"
 
 
@@ -174,7 +176,7 @@ def run_stage(ds_factory, root: str, stage: str, fingerprint: str,
 
 def build_kg_checkpointed(data_dir: str, ckpt_root: str, fuzzy: bool = True,
                           num_partitions: int = 32,
-                          big_rows: int | None = 100_000):
+                          big_rows: int | None = LEXICON_BIG_ROWS):
     """Flagship pipeline with resumable stage boundaries:
 
       link    — transcripts → mention triples  (key: conv_id)
@@ -185,7 +187,7 @@ def build_kg_checkpointed(data_dir: str, ckpt_root: str, fuzzy: bool = True,
     the same inputs skips completed stages (byte-identical manifests).
     """
     from ..pipelines.transcripts import (
-        build_lexicon,
+        _lexicon_refs,
         lexicon_dataset,
         link_transcripts,
         read_transcripts,
@@ -201,7 +203,8 @@ def build_kg_checkpointed(data_dir: str, ckpt_root: str, fuzzy: bool = True,
     fp_lex = input_fingerprint(*lex_tables)
 
     def make_link():
-        lex_ref = build_lexicon(data_dir)
+        # the session's lexicon memo, the entry make_lex reuses
+        lex_ref = _lexicon_refs(data_dir, big_rows).lexicon
         # build_kg's read: the linker's three columns, in a block count
         # sized to the input (write_stage writes one file per block per
         # partition)

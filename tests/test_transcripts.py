@@ -1027,6 +1027,152 @@ class TestDriverSideContract:
         assert read_blocks(500_000, 1) == 8
 
 
+@pytest.mark.usefixtures("ray_session")
+class TestLexiconMemo:
+    """The driver derives a data directory's lexicon once per lexicon
+    fingerprint per session and hands every later build the same
+    refs."""
+
+    @staticmethod
+    def _count_derivations(monkeypatch):
+        from tera_ray.pipelines import transcripts as T
+        from tera_ray.state import lexicon as L
+
+        calls = {"lexicon_from_tables": 0, "read": 0, "lexicon_sources": 0}
+
+        def counted(name, fn):
+            def wrap(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return wrap
+
+        monkeypatch.setattr(L, "lexicon_from_tables", counted(
+            "lexicon_from_tables", L.lexicon_from_tables))
+        monkeypatch.setattr(T, "_read_lexicon_tables", counted(
+            "read", T._read_lexicon_tables))
+        monkeypatch.setattr(T, "lexicon_sources", counted(
+            "lexicon_sources", T.lexicon_sources))
+        return calls
+
+    def test_repeated_builds_share_one_lexicon_ref(self, fixtures_t1,
+                                                   tmp_path, monkeypatch):
+        from tera_ray.pipelines import transcripts as T
+
+        want = _ds_spo(T.build_kg(fixtures_t1, dedup_mode="global"))
+        d = _data_dir_with(tmp_path, fixtures_t1, [pq.read_table(
+            os.path.join(fixtures_t1, "transcripts.parquet"))])
+        calls = self._count_derivations(monkeypatch)
+        lexicons, stores = [], []
+        for _ in range(2):
+            ds = T.build_kg(d)
+            lexicons.append(ds._logical_plan.dag._fn._lexicon)
+            stores.append(_ds_spo(ds))
+            # the first build derives the lexicon in one read of each
+            # table, the second derives nothing
+            assert calls == {"lexicon_from_tables": 1, "read": 1,
+                             "lexicon_sources": 0}
+        assert lexicons[0] == lexicons[1] == T.build_lexicon(d)
+        assert stores[0] == stores[1] == want
+        # the other routes read the memo's graph refs, build after build
+        for mode in ("hash", "global", "hash", "global"):
+            assert _ds_spo(T.build_kg(d, dedup_mode=mode)) == want
+        assert calls["read"] == 1
+
+    def test_rewritten_table_is_derived_again(self, fixtures_t1, tmp_path):
+        import shutil
+
+        from tera_ray.pipelines.transcripts import build_kg
+
+        d = str(tmp_path / "d")
+        shutil.copytree(fixtures_t1, d)
+        before = _ds_spo(build_kg(d))
+        # rewrite the chemicals table in place with one new chemical
+        path = os.path.join(d, "chemicals.parquet")
+        chem = pq.read_table(path)
+        extra = pa.table({
+            "cas_number": pa.array(["999999"], pa.string()),
+            "chemical_name": pa.array(["novelchemxyz"], pa.string()),
+            "ecotox_group": pa.array(["Metals"], pa.string()),
+        }).cast(chem.schema)
+        pq.write_table(pa.concat_tables([chem, extra]), path)
+        after = _ds_spo(build_kg(d))
+        fresh = str(tmp_path / "fresh")
+        shutil.copytree(d, fresh)
+        assert after == _ds_spo(build_kg(fresh))
+        new = {t for t in after if t[0].endswith("/cas/999999")}
+        assert new and not any(t[0].endswith("/cas/999999") for t in before)
+        assert set(before) < set(after)
+
+    def test_another_directory_replaces_the_entry(self, fixtures_t1,
+                                                  tmp_path, monkeypatch):
+        from tera_ray.pipelines import transcripts as T
+
+        tr = [pq.read_table(os.path.join(fixtures_t1, "transcripts.parquet"))]
+        a = _data_dir_with(tmp_path / "a", fixtures_t1, tr)
+        b = _data_dir_with(tmp_path / "b", fixtures_t1, tr)
+        calls = self._count_derivations(monkeypatch)
+        ref_a = T.build_lexicon(a)
+        key_a = T._LEXICON_MEMO[0]
+        ref_b = T.build_lexicon(b)
+        assert T._LEXICON_MEMO[0] != key_a and ref_b != ref_a
+        assert T.build_lexicon(b) == ref_b
+        assert calls["read"] == 2
+        # one entry: a is derived again
+        assert T.build_lexicon(a) != ref_a
+        assert calls["read"] == 3
+
+    def test_no_stale_ref_after_a_new_session(self, fixtures_t1):
+        """build, ``ray.shutdown()``, ``ray.init()``, build in one
+        process: the second session derives its own lexicon and writes
+        the same triple set.  Own sessions in a subprocess, killed with
+        its process group on timeout."""
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path.insert(0, {repo!r})
+            import ray
+            from tera_ray.pipelines import transcripts as T
+
+            def session():
+                ray.init(address="local", num_cpus=2, include_dashboard=False,
+                         logging_level="ERROR",
+                         object_store_memory=200 * 2**20)
+                from ray.data import DataContext
+                DataContext.get_current().enable_progress_bars = False
+                rows = set()
+                for b in T.build_kg({fixtures_t1!r}).iter_batches(
+                        batch_format="pyarrow", batch_size=None):
+                    rows.update(zip(b["subj"].to_pylist(),
+                                    b["pred"].to_pylist(),
+                                    b["obj"].to_pylist()))
+                key = T._LEXICON_MEMO[0]
+                ray.shutdown()
+                return rows, key
+
+            rows1, key1 = session()
+            rows2, key2 = session()
+            assert key1 != key2
+            print(len(rows1), rows1 == rows2)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("two sessions' builds did not finish in 300 s")
+        assert proc.returncode == 0, err[-2000:]
+        n, same = out.strip().splitlines()[-1].split()
+        assert int(n) > 0 and same == "True"
+
+
 def test_build_kg_finishes_on_one_cpu(fixtures_t1):
     """A 1-CPU session builds to completion.  An actor pool floored at
     every CPU reserved the only one, so the read never scheduled and

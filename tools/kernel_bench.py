@@ -1,4 +1,5 @@
-"""Ray-free timer for the transcript linker and its fuzzy DP kernels.
+"""Ray-free timer for the transcript linker, its fuzzy DP kernels and the
+lexicon derivation.
 
 Tells a kernel regression apart from scheduler noise: every figure is
 an in-process call with no Ray session.  Builds the ``hard`` variant of
@@ -20,6 +21,13 @@ then reports the median and min/max of ``--repeats`` runs of:
 The probe set is every (span, case) the cold call put in the memo.
 ``kernel_calls`` counts the DP kernel calls of one cold linker call.
 
+The ``lexicon`` section times the derivation ``build_kg`` runs on a
+lexicon-memo miss (``_derive_lexicon``: one read of each lexicon table,
+the ``Lexicon``, the deduplicated lexicon graph) on the same fixture,
+and its parts on tables read beforehand: ``read`` (the table reads),
+``lexicon_from_tables`` and ``graph`` (emit, then dedup and row hash).
+Repeated builds over unchanged lexicon tables skip all of it.
+
 The ``contract`` section (off by default) times the driver-side
 unique-turn contract check ``build_kg`` runs before its read: the
 ``(conv_id, turn_idx)`` hash pass over Parquet files
@@ -32,7 +40,7 @@ and its peak RSS after all passes (``peak_rss_mib``).
 Usage::
 
     python tools/kernel_bench.py [--repeats 7]
-        [--sections linker,loop,pairs,contract]
+        [--sections linker,loop,pairs,lexicon,contract]
         [--root /tmp/tera_ray_fixtures]
 
 Prints one JSON object.
@@ -150,10 +158,27 @@ def _contract(d: str, root: str, repeats: int) -> dict:
     return out
 
 
+def _lexicon(d: str, repeats: int) -> dict:
+    from tera_ray.pipelines import transcripts as T
+
+    big_rows = T.LEXICON_BIG_ROWS
+    tables, big = T._read_lexicon_tables(d, big_rows)
+    return {
+        "tables": sorted(tables), "big_tables": len(big),
+        "derive": _timed(lambda _: T._derive_lexicon(d, big_rows), repeats),
+        "read": _timed(lambda _: T._read_lexicon_tables(d, big_rows),
+                       repeats),
+        "lexicon_from_tables": _timed(lambda _: T._lexicon_from(d, tables),
+                                      repeats),
+        "graph": _timed(lambda _: T._combine(T._small_lexicon_graph(tables),
+                                             T._SPO), repeats),
+    }
+
+
 def main(argv=None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=7)
-    ap.add_argument("--sections", default="linker,loop,pairs")
+    ap.add_argument("--sections", default="linker,loop,pairs,lexicon")
     ap.add_argument("--root", default="/tmp/tera_ray_fixtures",
                     help="fixture cache directory")
     ap.add_argument("--_contract", help=argparse.SUPPRESS)
@@ -231,6 +256,8 @@ def main(argv=None) -> dict:
             lambda _: lx.levenshtein_pairs(a, a_lens, b, b_lens, 2),
             args.repeats)
         out["pairs_n"] = len(ql)
+    if "lexicon" in sections:
+        out["lexicon"] = _lexicon(d, args.repeats)
     if "contract" in sections:
         out["contract"] = _contract(d, args.root, args.repeats)
     print(json.dumps(out))
